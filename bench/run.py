@@ -3,11 +3,6 @@
     python3 bench/run.py --workload {euclid_sweep,aniso_sweep,cli_mix}
                          --seed N --seconds S --trace {0,1}
 
-``BENCHMARK.json`` lists ``euclid_sweep`` and ``cli_mix``.  ``aniso_sweep``
-runs the same way but is left out of it: its wall time follows the
-machine's speed drift most closely (run-to-run spread up to 0.24 in 36 s
-runs on a 2-CPU VM), so it serves for studies of the gauge kernels by hand.
-
 Run from the root of a checkout; the program is imported from ``src/``.
 Each workload runs in fresh single-threaded processes (BLAS and OpenMP
 pinned to one thread), one after another, as a closed loop: one caller
@@ -18,18 +13,19 @@ no layer has a waiting time to report.
 ``--trace 0`` prints the end-to-end metrics:
 
 - ``setup_s``: import, gauge construction, job generation and warm-up;
-  the median over three set-ups in fresh processes;
+  the median over seven set-ups in fresh processes, three of them
+  before the timed run and three after it;
 - ``wall_s``: time to solve one batch (one job per slot of the
   workload): the sum over the slots of the slot's mean job time, so the
   jobs of a batch cut short by the end of the run count too;
 - ``peak_rss_mb``: peak resident memory of the measuring process.
 
-The median job time ``job_s_p50`` (with the job count and the highest
-percentile that has ten jobs beyond it) and ``failed_share``, the share
-of jobs whose output check failed, are printed above the result line but
-are not among its metrics: ``failed_share`` is 0 when the program is
-correct, and the median job jumps between job kinds when the machine's
-speed drifts, which made its run-to-run spread wider than any bound.
+The median job time ``job_s_p50`` (with the job count) and
+``failed_share``, the share of jobs whose output check failed, are
+printed above the result line but are not among its metrics:
+``failed_share`` is 0 when the program is correct, and the median job
+jumps between job kinds when the machine's speed drifts, which made its
+run-to-run spread wider than any bound.
 
 ``--trace 1`` runs the workload untraced and then traced, for ``S / 2``
 seconds each, checks that both returned identical results, and prints
@@ -52,7 +48,7 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = ROOT / ".bench_out"
 WORKLOADS = ("euclid_sweep", "aniso_sweep", "cli_mix")
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 7
 TIME_LIMIT_S = 170.0  # a run must end within 180 s
 CLI_COMMANDS = ("wulff", "threshold", "solve", "diagnose", "classify", "rearrange")
 
@@ -63,8 +59,11 @@ class BenchError(RuntimeError):
 
 def worker_env():
     env = dict(os.environ)
+    # Byte code is cached under .bench_out/, so that every set-up after the
+    # first imports compiled modules, as an installed program does.
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPYCACHEPREFIX=str(OUT / "pycache"), PYTHONHASHSEED="0")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.pop("PYTHONPATH", None)
     return env
 
@@ -104,17 +103,7 @@ def job_stats(res):
         "jobs": len(jobs),
         "batches": res["batches_complete"],
         "failed": sum(1 for j in jobs if j["problems"]),
-        "tail": tail_percentile(times),
     }
-
-
-def tail_percentile(times):
-    """Highest of p75/p90/p99 with at least ten samples beyond it."""
-    best = None
-    for q in (75, 90, 99):
-        if len(times) * (100 - q) / 100 >= 10:
-            best = (q, statistics.quantiles(times, n=100, method="inclusive")[q - 1])
-    return best
 
 
 def failures(res):
@@ -221,10 +210,16 @@ def measure(args):
     deadline = time.monotonic() + TIME_LIMIT_S
     OUT.mkdir(exist_ok=True)
     if not args.trace:
-        setups = [run_worker(args, f"setup{k}", deadline, setup_only=True)["setup_s"]
-                  for k in range(SETUP_SAMPLES - 1)]
+        def setup(k):
+            return run_worker(args, f"setup{k}", deadline, setup_only=True)["setup_s"]
+
+        # The machine's speed wanders over tens of seconds, so half of the
+        # set-ups run before the measuring process and half after it.
+        before = SETUP_SAMPLES // 2
+        setups = [setup(k) for k in range(before)]
         res = run_worker(args, "measure", deadline, seconds=args.seconds)
         setups.append(res["setup_s"])
+        setups += [setup(k) for k in range(before, SETUP_SAMPLES - 1)]
         st = job_stats(res)
         metrics = {
             "setup_s": {"value": statistics.median(setups), "unit": "s"},
@@ -233,8 +228,7 @@ def measure(args):
         }
         notes = [f"setup_s from {len(setups)} set-ups: " + ", ".join(f"{s:.4f}" for s in setups),
                  f"wall_s: {res['slots']} slots, {st['batches']} complete batches",
-                 f"job_s_p50 = {st['job_s_p50']:.4f} s over {st['jobs']} jobs"
-                 + (f"; job_s_p{st['tail'][0]} = {st['tail'][1]:.4f} s" if st["tail"] else "")]
+                 f"job_s_p50 = {st['job_s_p50']:.4f} s over {st['jobs']} jobs"]
         runs = [res]
         attempted, failed = st["jobs"], st["failed"]
         problems = failures(res)

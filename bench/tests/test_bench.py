@@ -3,6 +3,7 @@
     python3 -m pytest -q bench/tests
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -127,3 +128,17 @@ def test_spans_nest_and_self_time_excludes_children(tmp_path):
     assert all(s["job"] == job["id"] for s in spans.values())
     for name, (calls, busy, self_s) in tracer.totals.items():
         assert 0.0 <= self_s <= busy + 1e-9, name
+
+
+def test_checker_fails_a_threshold_report_with_a_wrong_alpha0(tmp_path):
+    wl = workloads.CliMix(0, tmp_path)
+    job = next(j for j in wl.prepare(wl.batch(0)) if j["kind"] == "threshold")
+    assert wl.run(job) == 0
+    problems, _, _ = wl.check(job, 0)
+    assert problems == []
+    path = Path(job["out"]) / "threshold.json"
+    rep = json.loads(path.read_text())
+    rep["alpha0"] *= 1.001
+    path.write_text(json.dumps(rep))
+    problems, _, _ = wl.check(job, 0)
+    assert any(p.startswith("alpha0") for p in problems)
