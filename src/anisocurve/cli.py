@@ -188,13 +188,14 @@ def cmd_diagnose(args) -> int:
         args.quiet,
     )
     g = problem.g_samples()
-    report = solve(problem.aniso, problem.grid, g, problem.p, problem.solver)
-    run.phase("solve")
-    lip = lipschitz_report(report.profile, g)
+    # level 0 of the study is the solve on the problem's own grid and datum
     study = refinement_study(
         problem.aniso, problem.grid, problem.gspec, problem.p,
         levels=args.levels, cfg=problem.solver,
     )
+    report = study.base_report
+    run.phase("solve")
+    lip = lipschitz_report(report.profile, g)
     radius = args.radius
     if radius is None:
         radius = 0.5
@@ -283,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--seed", type=int, default=0, help="seed for fuzz corpora")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("wulff", help="Wulff-shape boundary, measures and flags")

@@ -13,6 +13,7 @@ in the fine-grid limit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -176,6 +177,12 @@ def sample_g(gspec: GSpec, grid: Grid) -> np.ndarray:
     return gspec.sample(grid)
 
 
+def check_fidelity_exponent(p: float) -> None:
+    """Raise ValueError unless p is a finite number >= 1."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"fidelity exponent must be a finite number p >= 1, got {p}")
+
+
 def trapezoid_weights(grid: Grid) -> np.ndarray:
     w = np.full(grid.n_cells + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
@@ -184,8 +191,7 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
 
 def energy(aniso: Anisotropy, u: Profile, g: np.ndarray, p: float) -> EnergyBreakdown:
     """Area/fidelity decomposition of the discrete functional."""
-    if p < 1:
-        raise ValueError("fidelity exponent must satisfy p >= 1")
+    check_fidelity_exponent(p)
     g = np.asarray(g, dtype=float)
     if g.shape != u.values.shape:
         raise ValueError("datum samples must match the profile nodes")
@@ -202,8 +208,7 @@ def energy_totals(
     aniso: Anisotropy, candidates: np.ndarray, g: np.ndarray, p: float, grid: Grid
 ) -> np.ndarray:
     """Total energy of many nodal-value rows at once (oracle work-horse)."""
-    if p < 1:
-        raise ValueError("fidelity exponent must satisfy p >= 1")
+    check_fidelity_exponent(p)
     candidates = np.asarray(candidates, dtype=float)
     h = grid.h
     du = np.diff(candidates, axis=1)

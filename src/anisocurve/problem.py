@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .anisotropy import Anisotropy, anisotropy_from_json
-from .energy import GSpec, Grid
+from .energy import GSpec, Grid, check_fidelity_exponent
 from .solver import SolverConfig
 
 __all__ = ["Problem", "problem_from_json", "load_problem"]
@@ -50,8 +50,7 @@ def problem_from_json(descriptor: dict) -> Problem:
     grid = Grid(x_min, x_max, int(descriptor["grid"]["n"]))
     gspec = GSpec.from_json(descriptor["g"])
     p = float(descriptor["p"])
-    if p < 1:
-        raise ValueError("fidelity exponent must satisfy p >= 1")
+    check_fidelity_exponent(p)
     solver_kwargs = dict(descriptor.get("solver", {}))
     solver = SolverConfig(**solver_kwargs)
     return Problem(aniso=aniso, grid=grid, gspec=gspec, p=p, solver=solver)

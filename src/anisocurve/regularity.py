@@ -18,7 +18,7 @@ import numpy as np
 
 from .anisotropy import Anisotropy
 from .energy import Grid, Profile
-from .solver import SolverConfig, solve
+from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
     "RegularityReport",
@@ -54,6 +54,7 @@ class RefinementStudy:
     classification: str  # "lipschitz" | "jump_suspected" | "inconclusive"
     cells: list
     slope_maxima: list
+    base_report: SolveReport  # the solve on the unrefined grid (level 0)
 
 
 def edge_unit_normals(u: Profile) -> np.ndarray:
@@ -111,10 +112,13 @@ def refinement_study(
         cfg = SolverConfig(max_iters=20_000)
     cells = []
     slope_maxima = []
+    base_report = None
     g_current = grid
     for _ in range(levels):
         g_samples = gspec.sample(g_current)
         report = solve(aniso, g_current, g_samples, p, cfg)
+        if base_report is None:
+            base_report = report
         du = report.profile.edge_differences()
         slope_maxima.append(float(np.max(np.abs(du)) / g_current.h))
         cells.append(g_current.n_cells)
@@ -122,7 +126,7 @@ def refinement_study(
 
     flat_tol = 1e-9
     if max(slope_maxima) <= flat_tol:
-        return RefinementStudy("lipschitz", cells, slope_maxima)
+        return RefinementStudy("lipschitz", cells, slope_maxima, base_report)
     ratios = [
         b / a if a > flat_tol else math.inf
         for a, b in zip(slope_maxima[:-1], slope_maxima[1:])
@@ -133,7 +137,7 @@ def refinement_study(
         cls = "jump_suspected"
     else:
         cls = "inconclusive"
-    return RefinementStudy(cls, cells, slope_maxima)
+    return RefinementStudy(cls, cells, slope_maxima, base_report)
 
 
 def _graph_obstacles(u: Profile) -> np.ndarray:

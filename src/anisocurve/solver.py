@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .anisotropy import Anisotropy
-from .energy import EnergyBreakdown, Grid, Profile, energy, energy_totals, trapezoid_weights
+from .energy import (EnergyBreakdown, Grid, Profile, check_fidelity_exponent, energy,
+                     energy_totals, trapezoid_weights)
 
 __all__ = [
     "SolverConfig",
@@ -30,6 +31,14 @@ __all__ = [
     "prox_fidelity",
     "brute_force_oracle",
 ]
+
+
+# The general-p prox stops once every Newton step is below _PROX_STEP_RTOL
+# of its iterate; convergence is quadratic, so the iterate left after such a
+# step is exact to rounding.  _PROX_MAX_PASSES only bounds the loop on
+# non-finite input.
+_PROX_STEP_RTOL = 1e-10
+_PROX_MAX_PASSES = 100
 
 
 class SolverDivergenceError(RuntimeError):
@@ -78,40 +87,43 @@ def prox_fidelity(v: float, g_j: float, w: float, p: float, tau: float) -> float
 def _prox_fidelity_many(
     v: np.ndarray, g: np.ndarray, w: np.ndarray, p: float, tau: float
 ) -> np.ndarray:
-    if p < 1:
-        raise ValueError("fidelity exponent must satisfy p >= 1")
+    check_fidelity_exponent(p)
     tw = tau * w
     if p == 1.0:
         return g + np.sign(v - g) * np.maximum(np.abs(v - g) - tw, 0.0)
     if p == 2.0:
         return (v + 2.0 * tw * g) / (1.0 + 2.0 * tw)
-    # general p: substitute y = |z - g| and solve the scalar optimality
-    # equation y + c y^(p-1) = |v - g| with c = tau w p by Newton with a
-    # bisection bracket safeguard (the residual is monotone in y, so the
-    # bracket [lo, hi] always contains the root and shrinks every pass).
+    # general p: y = |z - g| solves y + c y^(p-1) = a with a = |v - g| and
+    # c = tau w p.  Newton's method on a convex increasing form of that
+    # equation, started from an upper bound of the root, descends to the
+    # root monotonically: for p < 2 the unknown is s = y^(p-1), solving
+    # s^m + c s = a with m = 1/(p-1) > 1 from s = a^(p-1); for p > 2 it is
+    # y itself, from the smaller of the bounds y <= a and c y^(p-1) <= a.
+    # c is kept positive so the slope never vanishes.
     d = v - g
-    ad = np.abs(d)
-    c = tw * p
-    lo = np.zeros_like(ad)
-    hi = ad.copy()
-    y = 0.5 * ad
-    scale = 1.0 + float(np.max(ad, initial=0.0))
-    for _ in range(120):
-        yp = y ** (p - 1.0)
-        f = y + c * yp - ad
-        if float(np.max(np.abs(f))) < 1e-14 * scale:
-            break
-        pos = f > 0.0
-        zero = f == 0.0
-        hi = np.where(pos | zero, y, hi)
-        lo = np.where(~pos | zero, y, lo)
-        if float(np.max(hi - lo)) < 1e-15 * scale:
-            y = 0.5 * (lo + hi)
-            break
-        fp = 1.0 + c * (p - 1.0) * yp / np.maximum(y, 1e-300)
-        y_new = y - f / fp
-        inside = (y_new >= lo) & (y_new <= hi)
-        y = np.where(inside, y_new, 0.5 * (lo + hi))
+    a = np.abs(d)
+    c = np.maximum(tw * p, np.finfo(float).tiny)
+    if p < 2.0:
+        m = 1.0 / (p - 1.0)
+        s = a ** (p - 1.0)
+        for _ in range(_PROX_MAX_PASSES):
+            sm1 = s ** (m - 1.0)
+            step = (sm1 * s + c * s - a) / (m * sm1 + c)
+            s = np.maximum(s - step, 0.0)
+            if (step <= _PROX_STEP_RTOL * s).all():
+                break
+        # s^m magnifies the rounding of s m-fold; where the fidelity term is
+        # the smaller one, y = a - c s from the equation itself is exact
+        cs = c * s
+        y = np.where(2.0 * cs <= a, a - cs, s**m)
+    else:
+        y = a / np.maximum(c * a ** (p - 2.0), 1.0) ** (1.0 / (p - 1.0))
+        for _ in range(_PROX_MAX_PASSES):
+            yp2 = y ** (p - 2.0)
+            step = (y + c * yp2 * y - a) / (1.0 + c * (p - 1.0) * yp2)
+            y = np.maximum(y - step, 0.0)
+            if (step <= _PROX_STEP_RTOL * y).all():
+                break
     return g + np.sign(d) * y
 
 
@@ -133,8 +145,7 @@ def solve(
     point far from the minimizer.
     """
     cfg = cfg or SolverConfig()
-    if p < 1:
-        raise ValueError("fidelity exponent must satisfy p >= 1")
+    check_fidelity_exponent(p)
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.n_cells + 1,):
         raise ValueError("datum samples must match the grid nodes")
@@ -152,8 +163,8 @@ def solve(
 
     def total_energy(values: np.ndarray) -> float:
         pairs[:, 0] = values[:-1] - values[1:]
-        area = float(np.sum(aniso.eval_dual_many(pairs)))
-        return area + float(np.sum(w * np.abs(values - g) ** p))
+        area = float(aniso.eval_dual_many(pairs).sum())
+        return area + float((w * np.abs(values - g) ** p).sum())
 
     best_vals = u.copy()
     best_energy = total_energy(u)
@@ -177,7 +188,7 @@ def solve(
         grad[1:-1] = n1[:-1] - n1[1:]
         grad[-1] = n1[-1]
         u_new = _prox_fidelity_many(u + tau * grad, g, w, p, tau)
-        if not np.all(np.isfinite(u_new)):
+        if not np.isfinite(u_new).all():
             raise SolverDivergenceError(k)
         ubar = u_new + theta * (u_new - u)
         u = u_new

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .anisotropy import Anisotropy, SymmetryFlags
+from .energy import check_fidelity_exponent
 
 __all__ = [
     "ThresholdReport",
@@ -96,8 +97,7 @@ def sigma_threshold(
     sigma is computed even when the hypothesis flags fail; the
     regularity_class field then reads "not_applicable".
     """
-    if p < 1:
-        raise ValueError("fidelity exponent must satisfy p >= 1")
+    check_fidelity_exponent(p)
     if interval_length <= 0:
         raise ValueError("interval length must be positive")
     measures = aniso.wulff_measures(measure_samples)
@@ -131,8 +131,7 @@ def sigma_threshold(
 
 def lambda_from_gamma(p: float, gamma: float, g_inf: float) -> float:
     """Volume-term constant p (gamma + ||g||_inf)^(p-1); needs gamma > 2 ||g||_inf."""
-    if p < 1:
-        raise ValueError("fidelity exponent must satisfy p >= 1")
+    check_fidelity_exponent(p)
     if g_inf < 0:
         raise ValueError("||g||_inf must be nonnegative")
     if gamma <= 2.0 * g_inf:

@@ -152,3 +152,43 @@ def test_divergence_exit_three(tmp_path, monkeypatch):
     monkeypatch.setattr("anisocurve.cli.solve", blow_up)
     assert main(["solve", prob, "--out-dir", str(tmp_path / "out"),
                  "--quiet"]) == EXIT_DIVERGED
+
+
+@pytest.mark.parametrize("p_text", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_p_exits_two_with_one_line(tmp_path, capsys, p_text):
+    payload = json.dumps(_problem_payload()).replace('"p": 1.0', f'"p": {p_text}')
+    prob = tmp_path / "prob.json"
+    prob.write_text(payload)
+    for command in ("solve", "diagnose"):
+        out = tmp_path / command
+        assert main([command, str(prob), "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "solve_report.json").exists()
+
+
+def test_diagnose_solves_the_base_grid_once(tmp_path, monkeypatch):
+    import anisocurve.cli
+    import anisocurve.regularity
+    from anisocurve import lipschitz_report, load_problem, solve
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].n_cells)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(anisocurve.cli, "solve", counting)
+    monkeypatch.setattr(anisocurve.regularity, "solve", counting)
+    prob = _write_json(tmp_path / "prob.json",
+                       _problem_payload(grid={"n": 32}, solver={"max_iters": 3000}))
+    out = tmp_path / "out"
+    assert main(["diagnose", prob, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    assert calls == [32, 64, 128]
+    # the reused level-0 solve is the solve diagnose used to run itself
+    problem = load_problem(prob)
+    g = problem.g_samples()
+    lip = lipschitz_report(solve(problem.aniso, problem.grid, g, problem.p, problem.solver).profile, g)
+    report = json.loads((out / "regularity_report.json").read_text())
+    assert report["lipschitz_estimate"] == lip.lipschitz_estimate
+    assert report["normal_deviation_min"] == lip.normal_deviation_min

@@ -16,6 +16,7 @@ from anisocurve import (
     solve,
 )
 from anisocurve.energy import energy_totals
+from anisocurve.solver import _prox_fidelity_many
 from anisocurve import reference as ref
 
 EUCLID = Anisotropy.euclidean()
@@ -36,26 +37,94 @@ def test_prox_p2_closed_form():
     assert prox_fidelity(1.0, 0.0, 0.5, 2.0, 1.0) == pytest.approx(0.5)
 
 
+def _reference_prox(v, g, w, p, tau):
+    """The Newton-bisection prox that the monotone Newton kernel replaced."""
+    d = v - g
+    ad = np.abs(d)
+    c = tau * w * p
+    lo = np.zeros_like(ad)
+    hi = ad.copy()
+    y = 0.5 * ad
+    scale = 1.0 + float(np.max(ad, initial=0.0))
+    for _ in range(120):
+        yp = y ** (p - 1.0)
+        f = y + c * yp - ad
+        if float(np.max(np.abs(f))) < 1e-14 * scale:
+            break
+        pos = f > 0.0
+        zero = f == 0.0
+        hi = np.where(pos | zero, y, hi)
+        lo = np.where(~pos | zero, y, lo)
+        if float(np.max(hi - lo)) < 1e-15 * scale:
+            y = 0.5 * (lo + hi)
+            break
+        fp = 1.0 + c * (p - 1.0) * yp / np.maximum(y, 1e-300)
+        y_new = y - f / fp
+        inside = (y_new >= lo) & (y_new <= hi)
+        y = np.where(inside, y_new, 0.5 * (lo + hi))
+    return g + np.sign(d) * y
+
+
 def test_prox_general_p_first_order_optimality():
     rng = np.random.default_rng(0)
+    cases = []
     for _ in range(50):
-        v = float(rng.uniform(-3, 3))
-        gj = float(rng.uniform(-3, 3))
-        w = float(rng.uniform(0.01, 2.0))
-        p = float(rng.uniform(1.05, 4.0))
-        tau = float(rng.uniform(0.05, 1.0))
+        cases.append((float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
+                      float(rng.uniform(0.01, 2.0)), float(rng.uniform(1.05, 4.0)),
+                      float(rng.uniform(0.05, 1.0))))
+    for p in (1.05, 1.5, 1.95, 2.5, 4.0):
+        for residual in (0.0, 1e-300, 1e6):
+            for _ in range(4):
+                gj = float(rng.uniform(-3, 3))
+                v = gj + float(rng.choice([-1.0, 1.0])) * residual
+                cases.append((v, gj, float(rng.uniform(0.01, 2.0)), p,
+                              float(rng.uniform(0.05, 1.0))))
+    for v, gj, w, p, tau in cases:
         z = prox_fidelity(v, gj, w, p, tau)
+        scale = max(1.0, abs(v), abs(gj))
 
         def obj(x):
             return (x - v) ** 2 / (2 * tau) + w * abs(x - gj) ** p
 
+        # steps also scaled to the input, and an allowance for the rounding
+        # of obj itself, which reaches 1e12 at residual 1e6
+        tol = 1e-10 + 4.0 * np.finfo(float).eps * obj(z)
         for eps in (1e-6, 1e-3, 0.1):
-            assert obj(z) <= min(obj(z + eps), obj(z - eps)) + 1e-10
+            for step in (eps, eps * scale):
+                assert obj(z) <= min(obj(z + step), obj(z - step)) + tol
+        # agreement with the replaced kernel, relative to the input scale
+        ref = float(_reference_prox(np.array([v]), np.array([gj]), np.array([w]), p, tau)[0])
+        assert abs(z - ref) <= 1e-13 * scale
+
+
+def test_prox_many_matches_reference_on_solver_sized_arrays():
+    rng = np.random.default_rng(1)
+    n = 513
+    for p in (1.05, 1.5, 1.95, 2.5, 4.0):
+        v = rng.normal(0.0, 0.5, n)
+        g = rng.normal(0.0, 0.5, n)
+        v[:8] = g[:8]  # zero residuals
+        w = np.full(n, 2.0 / (n - 1))
+        z = _prox_fidelity_many(v, g, w, p, 0.495)
+        ref = _reference_prox(v, g, w, p, 0.495)
+        scale = np.maximum(1.0, np.maximum(np.abs(v), np.abs(g)))
+        assert np.max(np.abs(z - ref) / scale) <= 1e-13
+        np.testing.assert_array_equal(z[:8], g[:8])
+        # with g = 0, y = |z| solves y + c y^(p-1) = |v| to rounding over
+        # nine decades of |v|
+        v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 6.0, n)
+        y = np.abs(_prox_fidelity_many(v, np.zeros(n), w, p, 0.495))
+        equation = y + 0.495 * w * p * y ** (p - 1.0)
+        assert np.max(np.abs(equation - np.abs(v)) / np.abs(v)) <= 8.0 * np.finfo(float).eps
 
 
 def test_prox_rejects_p_below_one():
-    with pytest.raises(ValueError):
-        prox_fidelity(1.0, 0.0, 1.0, 0.5, 1.0)
+    grid = Grid(-1.0, 1.0, 8)
+    for p in (0.5, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            prox_fidelity(1.0, 0.0, 1.0, p, 1.0)
+        with pytest.raises(ValueError):
+            solve(EUCLID, grid, GSpec.step(0.1).sample(grid), p)
 
 
 # -- config -------------------------------------------------------------
