@@ -1,7 +1,7 @@
 """One-dimensional anisotropic prescribed-curvature variational problems.
 
 Gauges and Wulff-shape geometry, the discrete graph-area energy with
-L^p fidelity, a primal-dual solver, explicit regularity thresholds,
+L^p fidelity, a banded Newton solver, explicit regularity thresholds,
 regularity diagnostics, local-minimizer classification and vertical
 rearrangement machinery.
 """
@@ -25,7 +25,6 @@ from .energy import (
     Profile,
     energy,
     read_profile_csv,
-    sample_g,
     truncate,
     write_profile_csv,
 )

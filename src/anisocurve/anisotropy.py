@@ -135,6 +135,10 @@ class Anisotropy:
         self._measure_cache: dict[int, WulffMeasures] = {}
         self._flags: Optional[SymmetryFlags] = None
         self._projection_polygon: Optional["Anisotropy"] = None
+        # phi°(r, h) is twice differentiable in r with bounded curvature (h > 0)
+        self.smooth_dual = kind in ("euclidean", "ellipse") or (
+            kind == "lp" and 1.0 < params["q"] <= 2.0
+        )
         if kind == "ellipse":
             a, b = params["a"], params["b"]
             if not (a > 0 and b > 0):
@@ -288,6 +292,60 @@ class Anisotropy:
 
     def eval_dual(self, v) -> float:
         return float(self.eval_dual_many(_as_vec(v)[None, :])[0])
+
+    def smoothed_dual(
+        self, r: np.ndarray, h: float, eps: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """phi°_eps(r, h) and its derivatives d/dr, d^2/dr^2 and d/dh, elementwise in r.
+
+        ``h > 0`` is a scalar and ``eps`` a smoothing width relative to h, so
+        phi°_eps stays one-homogeneous in (r, h).  Three formulas:
+
+        - euclidean, lp(2) and ellipse(a, b): the quadratic form
+          sqrt(A r^2 + B h^2), with (A, B) = (a^2, b^2) for the ellipse; it is
+          smooth already and ignores eps;
+        - lp(q): (|r|^q' + h^q')^(1/q') with q' = q / (q - 1) and |r|^q'
+          replaced by (r^2 + (eps h)^2)^(q'/2), which bounds the curvature at
+          r = 0 for q > 2; it adds at most eps h;
+        - polygon, lp(1) and generic (through its inscribed polygon): a
+          log-sum-exp of the vertex support values <v_k, (r, h)> at
+          temperature eps h; it adds at most eps h log K for K vertices.
+
+        Each is an upper bound of phi° that is exact as eps -> 0, and the
+        gradient (d/dr, d/dh) lies in the Wulff shape.  ``smooth_dual`` is
+        true where phi° needs no smoothing: the quadratic forms and lp(q)
+        with q < 2, whose |r|^q' has q' > 2.
+        """
+        r = np.asarray(r, dtype=float)
+        q = self._params.get("q")
+        if self.kind in ("euclidean", "ellipse") or q == 2.0:
+            a2, b2 = 1.0, 1.0
+            if self.kind == "ellipse":
+                a2, b2 = self._params["a"] ** 2, self._params["b"] ** 2
+            s = np.sqrt(a2 * r * r + b2 * h * h)
+            return s, a2 * r / s, a2 * b2 * h * h / s**3, b2 * h / s
+        if self.kind == "lp" and q != 1.0:
+            qd = q / (q - 1.0)
+            delta2 = (eps * h) ** 2
+            t = r * r + delta2
+            tp = t ** (0.5 * qd - 2.0)
+            rho, rho1 = t * t * tp, qd * r * t * tp  # (r^2 + delta^2)^(q'/2), d/dr
+            rho2 = qd * ((qd - 1.0) * r * r + delta2) * tp
+            big = rho + h**qd
+            f = big ** (1.0 / qd)
+            c = f / (qd * big)
+            f2 = c * (rho2 - (1.0 - 1.0 / qd) * rho1 * rho1 / big)
+            return f, c * rho1, f2, f * h ** (qd - 1.0) / big
+        vx, vy = self._polygonal_geometry()._params["vertices"].T
+        temp = eps * h
+        z = np.multiply.outer(r, vx / temp) + vy / eps
+        top = z.max(axis=-1)
+        weights = np.exp(z - top[..., None])
+        total = weights.sum(axis=-1)
+        weights /= total[..., None]
+        f1 = weights @ vx
+        f2 = (weights * (vx - f1[..., None]) ** 2).sum(axis=-1) / temp
+        return temp * (top + np.log(total)), f1, f2, weights @ vy
 
     def boundary_point(self, d) -> np.ndarray:
         """The point d / phi(d) on the Wulff boundary."""

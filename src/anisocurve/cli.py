@@ -174,7 +174,7 @@ def cmd_solve(args) -> int:
         run.emit_text("solve.svg", render_polylines(curves, labels=["u", "g"]))
     run.phase("emit")
     if not report.converged:
-        run.say("warning: iteration budget exhausted before stagnation")
+        run.say("warning: iteration budget exhausted before convergence")
     run.say(f"total energy {report.energy.total:.9g} after {report.iterations} iterations")
     run.finish()
     return EXIT_OK

@@ -27,7 +27,6 @@ __all__ = [
     "Profile",
     "GSpec",
     "EnergyBreakdown",
-    "sample_g",
     "energy",
     "energy_totals",
     "truncate",
@@ -117,6 +116,12 @@ class GSpec:
     interp: str = "linear"
     _table: Optional[tuple] = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        for name in ("c", "a"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"datum {self.kind} needs a finite {name}, got {value}")
+
     @classmethod
     def constant(cls, c: float) -> "GSpec":
         return cls(kind="constant", c=float(c))
@@ -170,11 +175,6 @@ class GSpec:
             return np.interp(nodes, s, gv)
         idx = np.clip(np.searchsorted(s, nodes, side="right") - 1, 0, len(s) - 1)
         return gv[idx]
-
-
-def sample_g(gspec: GSpec, grid: Grid) -> np.ndarray:
-    """Nodal samples of the datum g on the grid."""
-    return gspec.sample(grid)
 
 
 def check_fidelity_exponent(p: float) -> None:
@@ -263,4 +263,6 @@ def _read_two_column_csv(path, value_name: str) -> tuple[np.ndarray, np.ndarray]
         raise IngestionError(f"non-numeric data in {path}: {exc}") from None
     if len(data) == 0:
         raise IngestionError(f"{path} has no data rows")
+    if not np.isfinite(data).all():
+        raise IngestionError(f"non-finite data in {path}")
     return data[:, 0], data[:, 1]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,20 @@ class Problem:
 
 
 def problem_from_json(descriptor: dict) -> Problem:
+    if not isinstance(descriptor, dict):
+        raise ValueError("problem descriptor must be a JSON object")
     aniso = anisotropy_from_json(descriptor["anisotropy"])
     x_min, x_max = (float(v) for v in descriptor["interval"])
     grid = Grid(x_min, x_max, int(descriptor["grid"]["n"]))
     gspec = GSpec.from_json(descriptor["g"])
     p = float(descriptor["p"])
     check_fidelity_exponent(p)
-    solver_kwargs = dict(descriptor.get("solver", {}))
+    solver_kwargs = descriptor.get("solver", {})
+    if not isinstance(solver_kwargs, dict):
+        raise ValueError("problem 'solver' must be a JSON object")
+    unknown = sorted(set(solver_kwargs) - {f.name for f in fields(SolverConfig)})
+    if unknown:
+        raise ValueError(f"unknown solver key(s): {', '.join(unknown)}")
     solver = SolverConfig(**solver_kwargs)
     return Problem(aniso=aniso, grid=grid, gspec=gspec, p=p, solver=solver)
 

@@ -18,7 +18,11 @@ import numpy as np
 
 from .anisotropy import Anisotropy
 from .energy import Grid, Profile
-from .solver import SolveReport, SolverConfig, solve
+from .solver import SolveReport, SolverConfig, _solve_pdhg
+
+# The solver behind refinement_study: the PDHG iteration, not the public
+# Newton ``solve`` (see refinement_study for why).
+solve = _solve_pdhg
 
 __all__ = [
     "RegularityReport",
@@ -105,6 +109,17 @@ def refinement_study(
     iteration budget, so the statistic compares equal-effort solves;
     warm starting from the coarse solution parks the iterate in the
     flat part of a degenerate minimizer family and hides the growth.
+
+    The levels are solved by the first-order PDHG iteration, not by the
+    Newton :func:`anisocurve.solver.solve`.  For a step datum above the
+    threshold the minimizers form a degenerate family (the 4 + pi/2 arc
+    pairs), and which member a solver returns decides the label.  PDHG,
+    cut off at its iteration budget and started from the datum's jump,
+    returns members that keep a jump, labelled ``jump_suspected``.
+    Newton reaches a lower discrete energy at the jump-free member with a
+    vertical tangent, whose slope maxima grow by about 1.41 per level,
+    which is ``inconclusive``.  The label should become a property of the
+    minimizers, not of the solver's path, before the study switches.
     """
     if levels < 3:
         raise ValueError("refinement_study needs at least 3 levels")

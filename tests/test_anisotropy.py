@@ -389,3 +389,40 @@ def test_json_rejects_clockwise_polygon():
 def test_json_rejects_unknown_kind():
     with pytest.raises((AnisotropyError, KeyError, ValueError)):
         anisotropy_from_json({"kind": "hexagonish"})
+
+
+# -- smoothed dual gauge (the Newton solver's edge term) ----------------
+
+
+@pytest.mark.parametrize("aniso,vertices", [
+    (Anisotropy.euclidean(), 0),
+    (Anisotropy.ellipse(2.0, 0.5), 0),
+    (Anisotropy.lp(2.0), 0),
+    (Anisotropy.lp(1.5), 0),
+    (Anisotropy.lp(3.0), 0),
+    (Anisotropy.lp(1.0), 4),
+    (Anisotropy.polygon([[1, 1], [-1, 1], [-1, -1], [1, -1]]), 4),
+    (Anisotropy.polygon([[math.cos(t), math.sin(t)] for t in 0.2 + math.pi / 3 * np.arange(6)]), 6),
+])
+def test_smoothed_dual_bounds_derivatives_and_dual_field(aniso, vertices):
+    h = 0.01
+    r = np.concatenate([np.linspace(-0.1, 0.1, 41), [0.0, 1e-7, -3e-3, 2.5]])
+    exact = aniso.eval_dual_many(np.column_stack([r, np.full(len(r), h)]))
+    for eps in (1e-2, 1e-5, 1e-13):
+        f, f1, f2, fh = aniso.smoothed_dual(r, h, eps)
+        # an upper bound of phi°, above it by at most eps h (1 + log K)
+        excess = f - exact
+        assert np.all(excess >= -1e-15)
+        assert np.all(excess <= eps * h * (1.0 + math.log(max(vertices, 1))) + 1e-15)
+        assert np.all(f2 >= 0.0)
+        # (d/dr, d/dh) is a point of the Wulff shape
+        assert np.max(aniso.eval_many(np.column_stack([f1, fh]))) <= 1.0 + 1e-12
+    # derivatives against central differences at a moderate width
+    eps, step = 1e-2, 1e-7
+    f, f1, f2, fh = aniso.smoothed_dual(r, h, eps)
+    fp, f1p, _, _ = aniso.smoothed_dual(r + step, h, eps)
+    fm, f1m, _, _ = aniso.smoothed_dual(r - step, h, eps)
+    np.testing.assert_allclose(f1, (fp - fm) / (2 * step), rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(f2, (f1p - f1m) / (2 * step), rtol=1e-4, atol=1e-3)
+    # the width is relative to h, so phi°_eps is one-homogeneous in (r, h)
+    np.testing.assert_allclose(aniso.smoothed_dual(3.0 * r, 3.0 * h, eps)[0], 3.0 * f, rtol=1e-13)

@@ -192,3 +192,54 @@ def test_diagnose_solves_the_base_grid_once(tmp_path, monkeypatch):
     report = json.loads((out / "regularity_report.json").read_text())
     assert report["lipschitz_estimate"] == lip.lipschitz_estimate
     assert report["normal_deviation_min"] == lip.normal_deviation_min
+
+
+def _exits_two_with_one_line(tmp_path, capsys, payload):
+    prob = _write_json(tmp_path / "prob.json", payload)
+    out = tmp_path / "out"
+    assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "solve_report.json").exists()
+
+
+def test_problem_that_is_not_an_object_exits_two(tmp_path, capsys):
+    _exits_two_with_one_line(tmp_path, capsys, [_problem_payload()])
+
+
+def test_unknown_solver_key_exits_two(tmp_path, capsys):
+    _exits_two_with_one_line(tmp_path, capsys,
+                             _problem_payload(solver={"max_iters": 100, "tolerance": 1e-8}))
+
+
+@pytest.mark.parametrize("solver", [
+    {"max_iters": 0},
+    {"max_iters": -3},
+    {"max_iters": 2.5},
+    {"tol_rel": float("nan")},
+    {"tol_rel": float("inf")},
+    {"tol_rel": 0.0},
+    {"tol_rel": -1e-8},
+    {"stagnation_window": 0},
+    {"stagnation_window": float("nan")},
+    {"tau": "0.4"},
+])
+def test_invalid_solver_settings_exit_two(tmp_path, capsys, solver):
+    _exits_two_with_one_line(tmp_path, capsys, _problem_payload(solver=solver))
+
+
+@pytest.mark.parametrize("g", [
+    {"kind": "step", "a": float("nan")},
+    {"kind": "step", "a": float("inf")},
+    {"kind": "constant", "c": float("nan")},
+    {"kind": "constant", "c": -float("inf")},
+])
+def test_non_finite_datum_exits_two(tmp_path, capsys, g):
+    _exits_two_with_one_line(tmp_path, capsys, _problem_payload(g=g))
+
+
+def test_non_finite_csv_datum_exits_two(tmp_path, capsys):
+    csv = tmp_path / "g.csv"
+    csv.write_text("s,g\n-1,0\n0,nan\n1,1\n")
+    _exits_two_with_one_line(tmp_path, capsys,
+                             _problem_payload(g={"kind": "csv", "path": str(csv)}))

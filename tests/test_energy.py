@@ -12,7 +12,6 @@ from anisocurve import (
     Profile,
     energy,
     read_profile_csv,
-    sample_g,
     truncate,
     write_profile_csv,
 )
@@ -37,30 +36,30 @@ def test_profile_validation():
         Profile(grid, np.array([0.0, np.nan, 0.0]))
 
 
-# -- sample_g -----------------------------------------------------------
+# -- GSpec.sample -------------------------------------------------------
 
 
 def test_sample_constant():
-    g = sample_g(GSpec.constant(0.5), Grid(-1, 1, 8))
+    g = GSpec.constant(0.5).sample(Grid(-1, 1, 8))
     np.testing.assert_allclose(g, 0.5)
 
 
 def test_sample_step_averages_at_discontinuity():
-    g = sample_g(GSpec.step(2.0), Grid(-1, 1, 4))
+    g = GSpec.step(2.0).sample(Grid(-1, 1, 4))
     np.testing.assert_allclose(g, [-2.0, -2.0, 0.0, 2.0, 2.0])
 
 
 def test_sample_csv_linear(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("s,g\n-1,0\n1,1\n")
-    g = sample_g(GSpec.csv(path), Grid(-1, 1, 2))
+    g = GSpec.csv(path).sample(Grid(-1, 1, 2))
     np.testing.assert_allclose(g, [0.0, 0.5, 1.0])
 
 
 def test_sample_csv_piecewise_constant(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("s,g\n-1,3\n0,7\n1,7\n")
-    g = sample_g(GSpec.csv(path, interp="piecewise-constant"), Grid(-1, 1, 4))
+    g = GSpec.csv(path, interp="piecewise-constant").sample(Grid(-1, 1, 4))
     np.testing.assert_allclose(g, [3.0, 3.0, 7.0, 7.0, 7.0])
 
 
@@ -68,7 +67,7 @@ def test_sample_csv_must_cover_interval(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("s,g\n-0.5,0\n0.5,1\n")
     with pytest.raises(IngestionError):
-        sample_g(GSpec.csv(path), Grid(-1, 1, 2))
+        GSpec.csv(path).sample(Grid(-1, 1, 2))
 
 
 def test_csv_rejects_nonincreasing_abscissae(tmp_path):

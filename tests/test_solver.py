@@ -1,4 +1,4 @@
-"""Primal-dual solver and brute-force oracle tests."""
+"""Newton solver, PDHG solver and brute-force oracle tests."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,30 @@ from anisocurve import (
     solve,
 )
 from anisocurve.energy import energy_totals
-from anisocurve.solver import _prox_fidelity_many
+from anisocurve.solver import _prox_fidelity_many, _solve_pdhg, _solve_tridiagonal
 from anisocurve import reference as ref
 
 EUCLID = Anisotropy.euclidean()
+SQUARE = Anisotropy.polygon([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+# a regular hexagon turned off the axes, so not mirror-symmetric
+HEXAGON = Anisotropy.polygon(
+    [[np.cos(t), np.sin(t)] for t in 0.2 + np.pi / 3 * np.arange(6)])
+GAUGES = {
+    "euclidean": EUCLID,
+    "ellipse": Anisotropy.ellipse(2.0, 0.5),
+    "lp1.5": Anisotropy.lp(1.5),
+    "lp3": Anisotropy.lp(3.0),
+    "lp1": Anisotropy.lp(1.0),
+    "square": SQUARE,
+    "hexagon": HEXAGON,
+}
+
+
+def _fuzz(rng, n):
+    """Piecewise-constant datum on n + 1 nodes with 2 to 6 levels."""
+    pieces = int(rng.integers(2, 7))
+    cuts = np.sort(rng.choice(np.arange(1, n + 1), pieces - 1, replace=False))
+    return np.repeat(rng.uniform(-1, 1, pieces), np.diff(np.r_[0, cuts, n + 1]))
 
 
 # -- prox ---------------------------------------------------------------
@@ -255,3 +275,82 @@ def test_solve_agrees_with_oracle_small_instances():
         eo = float(energy_totals(aniso, o.values[None, :], g, p, grid)[0])
         rep = solve(aniso, grid, g, p)
         assert abs(rep.energy.total - eo) <= 1e-3 * (1.0 + eo)
+
+
+# -- Newton -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 128, 129, 130, 257, 1000, 1025])
+def test_tridiagonal_solver_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        off = rng.uniform(-1.0, 1.0, n - 1) * 10.0 ** rng.uniform(-3, 3, n - 1)
+        diag = (np.r_[np.abs(off), 0.0] + np.r_[0.0, np.abs(off)]) * rng.uniform(1.0, 3.0, n)
+        diag += 10.0 ** rng.uniform(-3, 3, n)
+        rhs = rng.normal(size=n)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        exact = np.linalg.solve(dense, rhs)
+        x = _solve_tridiagonal(diag, off, rhs)
+        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("gauge", sorted(GAUGES))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_newton_energy_not_above_pdhg(gauge, p):
+    aniso = GAUGES[gauge]
+    rng = np.random.default_rng(int(10 * p) + len(gauge))
+    for grid, g in ((Grid(-1, 1, 32), GSpec.step(0.3).sample(Grid(-1, 1, 32))),
+                    (Grid(-1, 1, 24), _fuzz(rng, 24))):
+        newton = solve(aniso, grid, g, p)
+        pdhg = _solve_pdhg(aniso, grid, g, p, SolverConfig(max_iters=20_000))
+        assert newton.converged
+        assert newton.energy.total <= pdhg.energy.total + 1e-9 * (1.0 + pdhg.energy.total)
+        assert newton.dual_feasibility_max_violation <= 1e-12
+
+
+def test_newton_respects_the_step_cap():
+    grid = Grid(-1, 1, 128)
+    g = GSpec.step(0.05).sample(grid)
+    for cap in (1, 2, 5, 17):
+        rep = solve(EUCLID, grid, g, 1.0, SolverConfig(max_iters=cap))
+        assert rep.iterations == cap
+        assert not rep.converged
+    for aniso in (EUCLID, SQUARE):
+        rep = solve(aniso, grid, g, 1.5, SolverConfig(max_iters=400))
+        assert rep.converged
+        assert 1 <= rep.iterations <= 400
+        assert rep.final_stagnation <= SolverConfig().tol_rel
+
+
+@pytest.mark.parametrize("gauge", ["euclidean", "ellipse", "lp1.5", "lp3", "lp1", "square"])
+def test_newton_maximum_principle(gauge):
+    aniso = GAUGES[gauge]
+    rng = np.random.default_rng(len(gauge))
+    cases = [(Grid(-1, 1, n), GSpec.step(a).sample(Grid(-1, 1, n)), p)
+             for n in (16, 64) for a in (0.05, 0.3, 2.0) for p in (1.0, 1.5, 2.0)]
+    for k in range(6):
+        n = int(rng.integers(16, 129))
+        cases.append((Grid(-1, 1, n), _fuzz(rng, n), (1.0, 1.5, 2.0)[k % 3]))
+    for grid, g, p in cases:
+        u = solve(aniso, grid, g, p).profile.values
+        assert np.min(u) >= np.min(g) - 1e-9
+        assert np.max(u) <= np.max(g) + 1e-9
+
+
+def test_newton_final_step_is_converged_to_rounding():
+    # p = 2 and a smooth gauge: nothing is smoothed, Newton converges
+    # quadratically and the exact energy is stationary at the result
+    aniso = GAUGES["ellipse"]
+    grid = Grid(-1, 1, 200)
+    g = _fuzz(np.random.default_rng(4), 200)
+    rep = solve(aniso, grid, g, 2.0)
+    assert rep.converged and rep.iterations <= 20
+    u = rep.profile.values
+    step = 1e-6
+    for j in (0, 57, 100, 200):
+        bumped = u.copy()
+        bumped[j] += step
+        up = energy(aniso, Profile(grid, bumped), g, 2.0).total
+        bumped[j] -= 2 * step
+        down = energy(aniso, Profile(grid, bumped), g, 2.0).total
+        assert abs(up - down) / (2 * step) <= 1e-6
