@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,10 +30,9 @@ __all__ = [
 
 DEFAULT_MEASURE_SAMPLES = 65536
 DEFAULT_FACE_SAMPLES = 8192
-DEFAULT_PROJECTION_SAMPLES = 4096
+GENERIC_SAMPLES = 4096
 
-_CURVATURE_RADIUS_MIN = 1e-6
-_CURVATURE_RADIUS_MAX = 1e6
+_DIAMOND = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
 
 # Newton passes in the projection kernels stop once every step is below
 # _NEWTON_STEP_TOL (relative for the ellipse multiplier, absolute for the lp
@@ -102,20 +102,26 @@ def _as_vec(v) -> np.ndarray:
     return v
 
 
-def _circumradii(points: np.ndarray) -> np.ndarray:
-    """Circumradius of each consecutive boundary-point triple (cyclic)."""
-    p0 = points
-    p1 = np.roll(points, -1, axis=0)
-    p2 = np.roll(points, -2, axis=0)
-    a = np.hypot(*(p1 - p0).T)
-    b = np.hypot(*(p2 - p1).T)
-    c = np.hypot(*(p2 - p0).T)
-    cross = (p1 - p0)[:, 0] * (p2 - p0)[:, 1] - (p1 - p0)[:, 1] * (p2 - p0)[:, 0]
-    area2 = np.abs(cross)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radii = a * b * c / (2.0 * area2)
-    radii[area2 == 0.0] = np.inf
-    return radii
+def finite_number(value, name: str) -> float:
+    """value as a float if it is a finite JSON number (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _max_abs_pairing(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """max_k |x rows[k, 0] + y rows[k, 1]|, elementwise, one whole-array pass per row.
+
+    For the first half of a centrally symmetric set of rows this is the
+    maximum of x r_0 + y r_1 over the whole set.  A zero coefficient drops
+    its product, so axis-aligned rows cost what a closed form does.
+    """
+    out = None
+    for a, b in rows.tolist():
+        t = np.asarray(x * a if b == 0.0 else y * b if a == 0.0 else x * a + y * b)
+        np.abs(t, out=t)
+        out = t if out is None else np.maximum(out, t, out=out)
+    return out
 
 
 class Anisotropy:
@@ -123,34 +129,29 @@ class Anisotropy:
 
     Construct through the factory classmethods (:meth:`euclidean`,
     :meth:`ellipse`, :meth:`lp`, :meth:`polygon`, :meth:`generic`) or
-    from a JSON descriptor via :func:`anisotropy_from_json`.  Instances
-    are immutable; lazily built caches are written once and are safe
-    for concurrent reads afterwards.
+    from a JSON descriptor via :func:`anisotropy_from_json`.  Each gauge
+    has one kind: ``lp`` holds 1 < q != 2 only, as lp(1) is the diamond
+    polygon and lp(2) the Euclidean gauge, and a generic gauge is its
+    inscribed polygon.  Instances are immutable; lazily built caches are
+    written once and are safe for concurrent reads afterwards.
     """
 
     def __init__(self, kind: str, **params):
         self.kind = kind
         self._params = params
         self._face_cache: Optional[tuple] = None  # (points, params, total_len)
-        self._measure_cache: dict[int, WulffMeasures] = {}
+        self._measure_cache: dict[Optional[int], WulffMeasures] = {}
         self._flags: Optional[SymmetryFlags] = None
-        self._projection_polygon: Optional["Anisotropy"] = None
         # phi°(r, h) is twice differentiable in r with bounded curvature (h > 0)
-        self.smooth_dual = kind in ("euclidean", "ellipse") or (
-            kind == "lp" and 1.0 < params["q"] <= 2.0
-        )
+        self.smooth_dual = kind in ("euclidean", "ellipse") or (kind == "lp" and params["q"] < 2.0)
         if kind == "ellipse":
-            a, b = params["a"], params["b"]
-            if not (a > 0 and b > 0):
-                raise AnisotropyError("ellipse semi-axes must be positive")
+            if not all(0.0 < params[k] < math.inf for k in ("a", "b")):
+                raise AnisotropyError("ellipse semi-axes must be finite and positive")
         elif kind == "lp":
-            if params["q"] < 1:
-                raise AnisotropyError("lp exponent must satisfy q >= 1")
+            if not 1.0 < params["q"] < math.inf:
+                raise AnisotropyError(f"lp exponent must be finite with q >= 1, got {params['q']}")
         elif kind == "polygon":
             self._init_polygon(params["vertices"])
-        elif kind == "generic":
-            if not callable(params["evaluator"]):
-                raise AnisotropyError("generic anisotropy needs a callable evaluator")
         elif kind != "euclidean":
             raise AnisotropyError(f"unknown anisotropy kind {kind!r}")
 
@@ -166,7 +167,17 @@ class Anisotropy:
 
     @classmethod
     def lp(cls, q: float) -> "Anisotropy":
-        return cls("lp", q=float(q))
+        """The gauge (|x|^q + |y|^q)^(1/q) for a finite q >= 1.
+
+        lp(1) is returned as the diamond polygon and lp(2) as the Euclidean
+        gauge, so the ``lp`` kind holds 1 < q != 2 only.
+        """
+        q = float(q)
+        if q == 1.0:
+            return cls.polygon(_DIAMOND)
+        if q == 2.0:
+            return cls.euclidean()
+        return cls("lp", q=q)
 
     @classmethod
     def polygon(cls, vertices) -> "Anisotropy":
@@ -174,36 +185,54 @@ class Anisotropy:
 
     @classmethod
     def generic(cls, evaluator: Callable[[float, float], float]) -> "Anisotropy":
-        return cls("generic", evaluator=evaluator)
+        """The polygon inscribed in the unit ball of an even convex gauge phi(x, y).
+
+        phi is evaluated once, at GENERIC_SAMPLES equally spaced directions d,
+        and must be finite and positive there; the vertices d / phi(d) must
+        then pass the checks of :meth:`polygon`, which a gauge that is not
+        convex or not even fails.
+        """
+        if not callable(evaluator):
+            raise AnisotropyError("generic anisotropy needs a callable evaluator")
+        theta = 2.0 * math.pi * np.arange(GENERIC_SAMPLES) / GENERIC_SAMPLES
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        values = np.array([float(evaluator(x, y)) for x, y in dirs.tolist()])
+        if not (np.isfinite(values) & (values > 0.0)).all():
+            raise AnisotropyError("generic evaluator must return finite positive values")
+        return cls.polygon(dirs / values[:, None])
 
     def _init_polygon(self, vertices: np.ndarray) -> None:
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2 or len(vertices) < 4:
             raise AnisotropyError("polygon needs at least 4 vertices in R^2")
+        if not np.isfinite(vertices).all():
+            raise AnisotropyError("polygon vertices must be finite")
         nxt = np.roll(vertices, -1, axis=0)
         cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]
         if np.sum(cross) <= 0:
             raise AnisotropyError("polygon vertices must be counterclockwise")
-        if np.any(cross <= 0):
+        # every vertex pair turns counterclockwise about the origin, once around
+        turned = np.arctan2(cross, np.einsum("ij,ij->i", vertices, nxt)).sum()
+        if np.any(cross <= 0) or turned > 3.0 * math.pi:
             raise AnisotropyError("polygon must be convex with the origin inside")
-        # central symmetry: every vertex must have its antipode in the set
-        dists = np.hypot(
-            vertices[:, None, 0] + vertices[None, :, 0],
-            vertices[:, None, 1] + vertices[None, :, 1],
-        )
-        if np.any(dists.min(axis=1) > 1e-9):
-            raise AnisotropyError("polygon must be centrally symmetric (within 1e-9)")
         edges = nxt - vertices
         lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(lengths == 0):
-            raise AnisotropyError("polygon has a repeated vertex")
+        # consecutive edges turn left; the tolerance admits collinear samples
+        nxt_edges, nxt_lengths = np.roll(edges, -1, axis=0), np.roll(lengths, -1)
+        turn = edges[:, 0] * nxt_edges[:, 1] - edges[:, 1] * nxt_edges[:, 0]
+        if np.any(turn < -1e-12 * lengths * nxt_lengths):
+            raise AnisotropyError("polygon must be convex")
+        # central symmetry: in counterclockwise order vertex i + K/2 is -vertex i
+        half = len(vertices) // 2
+        if len(vertices) % 2 or np.any(np.hypot(*(vertices[:half] + vertices[half:]).T) > 1e-9):
+            raise AnisotropyError("polygon must be centrally symmetric (within 1e-9)")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
         support = np.einsum("ij,ij->i", vertices, normals)
-        if np.any(support <= 0):
-            raise AnisotropyError("origin must be strictly inside the polygon")
         self._params["vertices"] = vertices
         self._poly_normals = normals
-        self._poly_coeff = normals / support[:, None]
+        # the first halves of the centrally symmetric rows of phi and phi°
+        self._gauge_rows = (normals / support[:, None])[:half]
+        self._dual_rows = vertices[:half]
         self._poly_segments = (*vertices.T, *edges.T)  # start x, y; edge x, y
         self._poly_edge_len2 = np.einsum("ij,ij->i", edges, edges)
 
@@ -219,20 +248,8 @@ class Anisotropy:
             return np.hypot(x / self._params["a"], y / self._params["b"])
         if self.kind == "lp":
             q = self._params["q"]
-            if q == 1.0:
-                return np.abs(x) + np.abs(y)
-            if q == 2.0:
-                return np.hypot(x, y)
             return (np.abs(x) ** q + np.abs(y) ** q) ** (1.0 / q)
-        if self.kind == "polygon":
-            return np.maximum(v @ self._poly_coeff.T, 0.0).max(axis=-1)
-        # generic
-        flat = v.reshape(-1, 2)
-        ev = self._params["evaluator"]
-        out = np.array([float(ev(px, py)) for px, py in flat])
-        if np.any(~np.isfinite(out)) or np.any(out < 0):
-            raise AnisotropyError("generic evaluator returned a negative or non-finite value")
-        return out.reshape(v.shape[:-1])
+        return _max_abs_pairing(x, y, self._gauge_rows)
 
     def eval(self, v) -> float:
         """phi(v); zero iff v = 0."""
@@ -248,47 +265,9 @@ class Anisotropy:
             return np.hypot(x * self._params["a"], y * self._params["b"])
         if self.kind == "lp":
             q = self._params["q"]
-            if q == 1.0:
-                return np.maximum(np.abs(x), np.abs(y))
-            if q == 2.0:
-                return np.hypot(x, y)
             qd = q / (q - 1.0)
             return (np.abs(x) ** qd + np.abs(y) ** qd) ** (1.0 / qd)
-        if self.kind == "polygon":
-            return (v @ self._params["vertices"].T).max(axis=-1)
-        # generic: coarse max over the boundary polyline + golden refinement
-        pts, _, _ = self._face_polyline()
-        flat = v.reshape(-1, 2)
-        dots = flat @ pts.T
-        best = dots.argmax(axis=1)
-        out = np.empty(len(flat))
-        step = 2.0 * math.pi / len(pts)
-        for i, k in enumerate(best):
-            theta0 = math.atan2(pts[k, 1], pts[k, 0])
-            out[i] = self._refine_support(flat[i], theta0, step)
-        return out.reshape(v.shape[:-1])
-
-    def _refine_support(self, xi: np.ndarray, theta0: float, halfwidth: float) -> float:
-        """Golden-section maximization of <xi, boundary(theta)> near theta0."""
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def val(theta: float) -> float:
-            d = np.array([math.cos(theta), math.sin(theta)])
-            return float(xi @ d) / self.eval(d)
-
-        a, b = theta0 - halfwidth, theta0 + halfwidth
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = val(c), val(d)
-        for _ in range(80):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = val(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = val(d)
-        return max(fc, fd)
+        return _max_abs_pairing(x, y, self._dual_rows)
 
     def eval_dual(self, v) -> float:
         return float(self.eval_dual_many(_as_vec(v)[None, :])[0])
@@ -301,15 +280,14 @@ class Anisotropy:
         ``h > 0`` is a scalar and ``eps`` a smoothing width relative to h, so
         phi°_eps stays one-homogeneous in (r, h).  Three formulas:
 
-        - euclidean, lp(2) and ellipse(a, b): the quadratic form
-          sqrt(A r^2 + B h^2), with (A, B) = (a^2, b^2) for the ellipse; it is
-          smooth already and ignores eps;
+        - euclidean and ellipse(a, b): the quadratic form sqrt(A r^2 + B h^2),
+          with (A, B) = (a^2, b^2) for the ellipse; it is smooth already and
+          ignores eps;
         - lp(q): (|r|^q' + h^q')^(1/q') with q' = q / (q - 1) and |r|^q'
           replaced by (r^2 + (eps h)^2)^(q'/2), which bounds the curvature at
           r = 0 for q > 2; it adds at most eps h;
-        - polygon, lp(1) and generic (through its inscribed polygon): a
-          log-sum-exp of the vertex support values <v_k, (r, h)> at
-          temperature eps h; it adds at most eps h log K for K vertices.
+        - polygon: a log-sum-exp of the vertex support values <v_k, (r, h)>
+          at temperature eps h; it adds at most eps h log K for K vertices.
 
         Each is an upper bound of phi° that is exact as eps -> 0, and the
         gradient (d/dr, d/dh) lies in the Wulff shape.  ``smooth_dual`` is
@@ -317,14 +295,14 @@ class Anisotropy:
         with q < 2, whose |r|^q' has q' > 2.
         """
         r = np.asarray(r, dtype=float)
-        q = self._params.get("q")
-        if self.kind in ("euclidean", "ellipse") or q == 2.0:
+        if self.kind in ("euclidean", "ellipse"):
             a2, b2 = 1.0, 1.0
             if self.kind == "ellipse":
                 a2, b2 = self._params["a"] ** 2, self._params["b"] ** 2
             s = np.sqrt(a2 * r * r + b2 * h * h)
             return s, a2 * r / s, a2 * b2 * h * h / s**3, b2 * h / s
-        if self.kind == "lp" and q != 1.0:
+        if self.kind == "lp":
+            q = self._params["q"]
             qd = q / (q - 1.0)
             delta2 = (eps * h) ** 2
             t = r * r + delta2
@@ -336,7 +314,7 @@ class Anisotropy:
             c = f / (qd * big)
             f2 = c * (rho2 - (1.0 - 1.0 / qd) * rho1 * rho1 / big)
             return f, c * rho1, f2, f * h ** (qd - 1.0) / big
-        vx, vy = self._polygonal_geometry()._params["vertices"].T
+        vx, vy = self._params["vertices"].T
         temp = eps * h
         z = np.multiply.outer(r, vx / temp) + vy / eps
         top = z.max(axis=-1)
@@ -403,18 +381,14 @@ class Anisotropy:
         use an m-point polyline (m >= 256, default 65536).
         """
         if self.kind == "polygon":
-            pts = self._params["vertices"]
-            key = len(pts)
+            m = None  # exact, from the vertices
         else:
             m = DEFAULT_MEASURE_SAMPLES if m is None else int(m)
             if m < 256:
                 raise AnisotropyError("wulff_measures requires m >= 256 for non-polygon kinds")
-            key = m
-            if key in self._measure_cache:
-                return self._measure_cache[key]
-            pts = self.wulff_sample(m)
-        if key in self._measure_cache:
-            return self._measure_cache[key]
+        if m in self._measure_cache:
+            return self._measure_cache[m]
+        pts = self._params["vertices"] if m is None else self.wulff_sample(m)
         nxt = np.roll(pts, -1, axis=0)
         cross = pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]
         area = 0.5 * float(np.sum(cross))
@@ -427,7 +401,7 @@ class Anisotropy:
         c_phi = perimeter / math.sqrt(area)
         alpha0 = perimeter / ((2.0 * perimeter + 1.0) * math.sqrt(area))
         measures = WulffMeasures(area, perimeter, c_phi, alpha0, len(pts))
-        self._measure_cache[key] = measures
+        self._measure_cache[m] = measures
         return measures
 
     def symmetry_flags(self) -> SymmetryFlags:
@@ -443,86 +417,27 @@ class Anisotropy:
             rbar = min(a * a / b, b * b / a)
             return SymmetryFlags(True, False, True, rbar)
         if self.kind == "lp":
-            q = self._params["q"]
-            if q == 2.0:
-                return SymmetryFlags(True, False, True, 1.0)
             return SymmetryFlags(True, False, False, 0.0)
-        if self.kind == "polygon":
-            verts = self._params["vertices"]
-            pm = self._vertex_set_axis_symmetric(verts)
-            vf = bool(np.any(np.abs(self._poly_normals[:, 1]) <= 1e-12))
-            return SymmetryFlags(pm, vf, False, 0.0)
-        return self._generic_flags()
+        pm = self._vertex_set_axis_symmetric(self._params["vertices"])
+        vf = bool(np.any(np.abs(self._poly_normals[:, 1]) <= 1e-12))
+        return SymmetryFlags(pm, vf, False, 0.0)
 
     @staticmethod
     def _vertex_set_axis_symmetric(verts: np.ndarray) -> bool:
-        for sx, sy in ((-1.0, 1.0), (1.0, -1.0)):
-            mirrored = verts * np.array([sx, sy])
-            d = np.hypot(
-                verts[:, None, 0] - mirrored[None, :, 0],
-                verts[:, None, 1] - mirrored[None, :, 1],
-            )
-            if np.any(d.min(axis=1) > 1e-9):
+        """Whether both axis mirrors map the vertices onto themselves (within 1e-9)."""
+        for flip in ((-1.0, 1.0), (1.0, -1.0)):
+            # a mirror reverses the orientation; roll to the image of vertex 0
+            mirrored = (verts * flip)[::-1]
+            start = int(np.argmin(np.hypot(*(mirrored - verts[0]).T)))
+            if np.any(np.hypot(*(np.roll(mirrored, -start, axis=0) - verts).T) > 1e-9):
                 return False
         return True
 
-    def _generic_flags(self) -> SymmetryFlags:
-        rng = np.random.default_rng(0)
-        samples = rng.standard_normal((1024, 2))
-        vals = self.eval_many(samples)
-        folded = self.eval_many(np.abs(samples))
-        scale = float(np.max(vals)) + 1.0
-        pm = bool(np.max(np.abs(vals - folded)) <= 1e-9 * scale)
-        # vertical facet: boundary points at normals tilted +-1e-4 rad off e1
-        # must essentially coincide, else +-e1 supports a whole segment
-        p_plus = self._support_argmax(np.array([math.cos(1e-4), math.sin(1e-4)]))
-        p_minus = self._support_argmax(np.array([math.cos(1e-4), -math.sin(1e-4)]))
-        vf = bool(np.hypot(*(p_plus - p_minus)) > 1e-6)
-        radii = _circumradii(self._face_polyline()[0])
-        rmin, rmax = float(np.min(radii)), float(np.max(radii))
-        elliptic = bool(
-            np.isfinite(rmax)
-            and rmin >= _CURVATURE_RADIUS_MIN
-            and rmax <= _CURVATURE_RADIUS_MAX
-        )
-        return SymmetryFlags(pm, vf, elliptic, rmin if elliptic else 0.0)
-
-    def _support_argmax(self, nu: np.ndarray) -> np.ndarray:
-        """Boundary point maximizing <., nu> (polyline argmax + refinement)."""
-        pts, _, _ = self._face_polyline()
-        k = int(np.argmax(pts @ nu))
-        theta0 = math.atan2(pts[k, 1], pts[k, 0])
-        step = 2.0 * math.pi / len(pts)
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def point(theta: float) -> np.ndarray:
-            d = np.array([math.cos(theta), math.sin(theta)])
-            return d / self.eval(d)
-
-        a, b = theta0 - step, theta0 + step
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = float(point(c) @ nu), float(point(d) @ nu)
-        for _ in range(80):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = float(point(c) @ nu)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = float(point(d) @ nu)
-        return point(0.5 * (a + b))
-
     # -- exposed faces ------------------------------------------------
 
-    def default_face_tolerance(self) -> float:
-        if self.kind == "generic":
-            return 1e-4
-        return 1e-7 * self.diameter()
-
     def face_mask(self, nu: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-        """Boolean mask of face-polyline points within tol of the support value."""
-        tol = self.default_face_tolerance() if tol is None else float(tol)
+        """Face-polyline points within tol (default 1e-7 diameter) of the support value."""
+        tol = 1e-7 * self.diameter() if tol is None else float(tol)
         pts, _, _ = self._face_polyline()
         dots = pts @ np.asarray(nu, dtype=float)
         target = self.eval_dual(nu)
@@ -579,26 +494,14 @@ class Anisotropy:
             a, b = self._params["a"], self._params["b"]
             p = np.array([a * a * nu[0], b * b * nu[1]])
             return p / self.eval_dual(nu)
-        if self.kind == "lp" and self._params["q"] > 1.0:
+        if self.kind == "lp":
             q = self._params["q"]
             qd = q / (q - 1.0)
             denom = (abs(nu[0]) ** qd + abs(nu[1]) ** qd) ** (1.0 / qd)
             w = nu / denom
             return np.sign(w) * np.abs(w) ** (qd - 1.0)
-        arc = self._polygonal_geometry().exposed_face(nu, tol)
+        arc = self.exposed_face(nu, tol)
         return 0.5 * (arc.endpoints[0] + arc.endpoints[1])
-
-    def _polygonal_geometry(self) -> "Anisotropy":
-        """Polygonal stand-in used for face/projection work on facet kinds."""
-        if self.kind == "polygon":
-            return self
-        if self._projection_polygon is None:
-            if self.kind == "lp" and self._params["q"] == 1.0:
-                verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-            else:
-                verts = self.wulff_sample(DEFAULT_PROJECTION_SAMPLES)
-            self._projection_polygon = Anisotropy.polygon(verts)
-        return self._projection_polygon
 
     # -- Euclidean projection onto the Wulff shape --------------------
 
@@ -607,24 +510,22 @@ class Anisotropy:
 
         Rows inside the shape are returned unchanged.  Outside rows:
 
-        - euclidean and lp(2): ``x / |x|``, one pass, exact to rounding;
+        - euclidean: ``x / |x|``, one pass, exact to rounding;
         - ellipse: Newton's method on the secular equation of the
           multiplier mu, written as 1/phi(z(mu)) = 1, from a lower bound of
           the root; the left side is concave and increasing, so the
           iterates climb to the root without overshoot.  Exact to rounding,
           usually in 2-6 passes (the first step is exact for a circle);
-        - lp(q), q not 1 or 2: Newton's method on a graph parametrization
+        - lp(q): Newton's method on a graph parametrization
           of the boundary arc between the larger axis and the diagonal,
           falling back to bisection whenever a step leaves the bracket.
           The point is on the boundary to rounding and stationary to
           rounding once the last step is below 1e-10, usually in 3-5
           passes;
-        - polygon and lp(1): exact nearest point over all edges;
-        - generic: exact nearest point of a 4096-vertex inscribed polygon,
-          so accurate only to that sampling.
+        - polygon: exact nearest point over all edges.
         """
         x = np.asarray(x, dtype=float)
-        if self.kind == "euclidean" or (self.kind == "lp" and self._params["q"] == 2.0):
+        if self.kind == "euclidean":
             return x / np.maximum(np.hypot(x[..., 0], x[..., 1]), 1.0)[..., None]
         inside = self.eval_many(x) <= 1.0
         out = np.array(x, copy=True)
@@ -634,10 +535,10 @@ class Anisotropy:
         xo = x[todo]
         if self.kind == "ellipse":
             proj = self._project_ellipse(xo)
-        elif self.kind == "lp" and self._params["q"] != 1.0:
+        elif self.kind == "lp":
             proj = self._project_lp(xo)
-        else:  # polygon, lp(1), generic
-            proj = self._polygonal_geometry()._project_polygon(xo)
+        else:
+            proj = self._project_polygon(xo)
         out[todo] = proj
         return out
 
@@ -728,23 +629,15 @@ class Anisotropy:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "euclidean":
-            return {"kind": "euclidean"}
-        if self.kind == "ellipse":
-            return {"kind": "ellipse", "a": self._params["a"], "b": self._params["b"]}
-        if self.kind == "lp":
-            return {"kind": "lp", "q": self._params["q"]}
         if self.kind == "polygon":
             return {"kind": "polygon", "vertices": self._params["vertices"].tolist()}
-        raise AnisotropyError("generic anisotropies have no JSON descriptor")
+        return {"kind": self.kind, **self._params}
 
     def __repr__(self) -> str:
-        if self.kind in ("euclidean", "generic"):
-            return f"Anisotropy({self.kind})"
         if self.kind == "polygon":
             return f"Anisotropy(polygon, {len(self._params['vertices'])} vertices)"
-        args = ", ".join(f"{k}={v}" for k, v in self._params.items())
-        return f"Anisotropy({self.kind}, {args})"
+        args = "".join(f", {k}={v}" for k, v in self._params.items())
+        return f"Anisotropy({self.kind}{args})"
 
 
 def anisotropy_from_json(descriptor) -> Anisotropy:
@@ -757,9 +650,13 @@ def anisotropy_from_json(descriptor) -> Anisotropy:
     if kind == "euclidean":
         return Anisotropy.euclidean()
     if kind == "ellipse":
-        return Anisotropy.ellipse(descriptor["a"], descriptor["b"])
+        return Anisotropy.ellipse(*(finite_number(descriptor[k], f"ellipse {k}") for k in "ab"))
     if kind == "lp":
-        return Anisotropy.lp(descriptor["q"])
+        return Anisotropy.lp(finite_number(descriptor["q"], "lp q"))
     if kind == "polygon":
-        return Anisotropy.polygon(descriptor["vertices"])
+        vertices = descriptor["vertices"]
+        if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
+            raise AnisotropyError("polygon vertices must be a list of [x, y] pairs")
+        return Anisotropy.polygon(
+            [[finite_number(c, "polygon vertex coordinate") for c in v] for v in vertices])
     raise AnisotropyError(f"unknown anisotropy kind {kind!r}")

@@ -101,7 +101,7 @@ def cmd_wulff(args) -> int:
         {"samples": args.samples, "svg": args.svg}, args.quiet,
     )
     pts = aniso.wulff_sample(args.samples)
-    measures = aniso.wulff_measures(None if aniso.kind == "polygon" else max(args.samples, 256))
+    measures = aniso.wulff_measures(max(args.samples, 256))
     flags = aniso.symmetry_flags()
     run.phase("geometry")
     lines = ["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in pts]
@@ -196,10 +196,7 @@ def cmd_diagnose(args) -> int:
     report = study.base_report
     run.phase("solve")
     lip = lipschitz_report(report.profile, g)
-    radius = args.radius
-    if radius is None:
-        radius = 0.5
-    ball = tangent_ball_check(problem.aniso, report.profile, radius, args.tol)
+    ball = tangent_ball_check(problem.aniso, report.profile, args.radius, args.tol)
     run.phase("diagnostics")
     payload = {
         "lipschitz_estimate": lip.lipschitz_estimate,
@@ -216,7 +213,7 @@ def cmd_diagnose(args) -> int:
         wpts = problem.aniso.wulff_sample(256)
         mid = nodes[len(nodes) // 2]
         umid = report.profile.values[len(nodes) // 2]
-        overlay = wpts * radius + np.array([mid, umid])
+        overlay = wpts * args.radius + np.array([mid, umid])
         curves = [
             np.column_stack([nodes, report.profile.values]),
             np.vstack([overlay, overlay[:1]]),
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="regularity diagnostics for a problem JSON")
     p.add_argument("problem")
     p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--radius", type=float, default=None)
+    p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--svg", action="store_true")
     common(p)

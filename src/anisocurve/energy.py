@@ -15,12 +15,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .anisotropy import Anisotropy
+from .anisotropy import Anisotropy, finite_number
 
 __all__ = [
     "Grid",
@@ -49,10 +50,11 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError("grid requires x_min < x_max")
-        if self.n_cells < 1:
-            raise ValueError("grid requires n_cells >= 1")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max) and self.x_min < self.x_max):
+            raise ValueError(f"grid requires finite x_min < x_max, got {self.x_min}, {self.x_max}")
+        n = self.n_cells
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"grid requires an integer n_cells >= 1, got {n!r}")
 
     @property
     def h(self) -> float:
@@ -143,10 +145,12 @@ class GSpec:
     def from_json(cls, descriptor: dict) -> "GSpec":
         kind = descriptor.get("kind")
         if kind == "constant":
-            return cls.constant(descriptor["c"])
+            return cls.constant(finite_number(descriptor["c"], "datum constant c"))
         if kind == "step":
-            return cls.step(descriptor["a"])
+            return cls.step(finite_number(descriptor["a"], "datum step a"))
         if kind == "csv":
+            if not isinstance(descriptor["path"], str):
+                raise IngestionError("datum csv path must be a string")
             return cls.csv(descriptor["path"], descriptor.get("interp", "linear"))
         raise IngestionError(f"unknown g kind {kind!r}")
 
@@ -189,33 +193,29 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
+def _energy_parts(aniso: Anisotropy, values: np.ndarray, g: np.ndarray, p: float, grid: Grid):
+    """Area and fidelity of nodal-value rows, summed along the last axis."""
+    check_fidelity_exponent(p)
+    du = np.diff(values, axis=-1)
+    area = aniso.eval_dual_many(np.stack([-du, np.full_like(du, grid.h)], axis=-1))
+    fidelity = trapezoid_weights(grid) * np.abs(values - g) ** p
+    return area.sum(axis=-1), fidelity.sum(axis=-1)
+
+
 def energy(aniso: Anisotropy, u: Profile, g: np.ndarray, p: float) -> EnergyBreakdown:
     """Area/fidelity decomposition of the discrete functional."""
-    check_fidelity_exponent(p)
     g = np.asarray(g, dtype=float)
     if g.shape != u.values.shape:
         raise ValueError("datum samples must match the profile nodes")
-    h = u.grid.h
-    du = u.edge_differences()
-    pairs = np.column_stack([-du, np.full(len(du), h)])
-    area = float(np.sum(aniso.eval_dual_many(pairs)))
-    w = trapezoid_weights(u.grid)
-    fidelity = float(np.sum(w * np.abs(u.values - g) ** p))
-    return EnergyBreakdown(area=area, fidelity=fidelity)
+    area, fidelity = _energy_parts(aniso, u.values, g, p, u.grid)
+    return EnergyBreakdown(area=float(area), fidelity=float(fidelity))
 
 
 def energy_totals(
     aniso: Anisotropy, candidates: np.ndarray, g: np.ndarray, p: float, grid: Grid
 ) -> np.ndarray:
     """Total energy of many nodal-value rows at once (oracle work-horse)."""
-    check_fidelity_exponent(p)
-    candidates = np.asarray(candidates, dtype=float)
-    h = grid.h
-    du = np.diff(candidates, axis=1)
-    pairs = np.stack([-du, np.full_like(du, h)], axis=-1)
-    area = aniso.eval_dual_many(pairs).sum(axis=1)
-    w = trapezoid_weights(grid)
-    fidelity = (w[None, :] * np.abs(candidates - g[None, :]) ** p).sum(axis=1)
+    area, fidelity = _energy_parts(aniso, np.asarray(candidates, dtype=float), g, p, grid)
     return area + fidelity
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anisotropy import Anisotropy, anisotropy_from_json
+from .anisotropy import Anisotropy, anisotropy_from_json, finite_number
 from .energy import GSpec, Grid, check_fidelity_exponent
 from .solver import SolverConfig
 
@@ -33,34 +33,36 @@ class Problem:
             "p": self.p,
             "g": self.gspec.to_json(),
             "grid": {"n": self.grid.n_cells},
-            "solver": {
-                "max_iters": self.solver.max_iters,
-                "tol_rel": self.solver.tol_rel,
-                "stagnation_window": self.solver.stagnation_window,
-                "tau": self.solver.tau,
-                "sigma_step": self.solver.sigma_step,
-                "over_relaxation": self.solver.over_relaxation,
-            },
+            "solver": {"max_iters": self.solver.max_iters, "tol_rel": self.solver.tol_rel},
         }
 
 
 def problem_from_json(descriptor: dict) -> Problem:
+    """Build a problem from its JSON descriptor; ValueError on any malformed field."""
     if not isinstance(descriptor, dict):
         raise ValueError("problem descriptor must be a JSON object")
-    aniso = anisotropy_from_json(descriptor["anisotropy"])
-    x_min, x_max = (float(v) for v in descriptor["interval"])
-    grid = Grid(x_min, x_max, int(descriptor["grid"]["n"]))
-    gspec = GSpec.from_json(descriptor["g"])
-    p = float(descriptor["p"])
+    parts = {key: descriptor[key] for key in ("anisotropy", "g", "grid")}
+    parts["solver"] = descriptor.get("solver", {})
+    for key, value in parts.items():
+        if not isinstance(value, dict):
+            raise ValueError(f"problem {key!r} must be a JSON object")
+    interval = descriptor["interval"]
+    if not isinstance(interval, list) or len(interval) != 2:
+        raise ValueError("problem 'interval' must be a list of two numbers")
+    x_min, x_max = (finite_number(v, "interval bound") for v in interval)
+    grid = Grid(x_min, x_max, parts["grid"]["n"])
+    p = finite_number(descriptor["p"], "p")
     check_fidelity_exponent(p)
-    solver_kwargs = descriptor.get("solver", {})
-    if not isinstance(solver_kwargs, dict):
-        raise ValueError("problem 'solver' must be a JSON object")
-    unknown = sorted(set(solver_kwargs) - {f.name for f in fields(SolverConfig)})
+    unknown = sorted(set(parts["solver"]) - {f.name for f in fields(SolverConfig)})
     if unknown:
         raise ValueError(f"unknown solver key(s): {', '.join(unknown)}")
-    solver = SolverConfig(**solver_kwargs)
-    return Problem(aniso=aniso, grid=grid, gspec=gspec, p=p, solver=solver)
+    return Problem(
+        aniso=anisotropy_from_json(parts["anisotropy"]),
+        grid=grid,
+        gspec=GSpec.from_json(parts["g"]),
+        p=p,
+        solver=SolverConfig(**parts["solver"]),
+    )
 
 
 def load_problem(path) -> Problem:

@@ -15,7 +15,7 @@ with a relative width eps: |t|^p of the fidelity becomes
 (t^2 + (eps S)^2)^(p/2) for p < 2, with S the datum's range plus the
 interval length, and the gauge term uses
 :meth:`Anisotropy.smoothed_dual` at width eps h (a log-sum-exp for
-polygon, lp(1) and generic gauges, a smoothed |r|^q' for lp(q > 2)).
+polygon gauges, a smoothed |r|^q' for lp(q > 2)).
 eps starts at 1e-2 and shrinks five-fold each time Newton settles, down
 to a fixed floor of 1e-10 (continuation); problems with no nonsmooth
 piece start at the floor.  Every smoothed term is an upper bound of the
@@ -95,35 +95,23 @@ class SolverConfig:
     """Solver knobs.
 
     ``max_iters`` caps the Newton steps of :func:`solve` and ``tol_rel``
-    bounds its final relative Newton decrement.  The other fields only
-    drive the PDHG iteration behind ``refinement_study``: its stagnation
-    window, its step sizes and its over-relaxation.
+    bounds its final relative Newton decrement.  The PDHG loop behind
+    ``refinement_study`` reads them as its iteration cap and the tolerance
+    of its energy band; its step sizes are module constants.
     """
 
     max_iters: int = 200_000
     tol_rel: float = 1e-10
-    stagnation_window: int = 100
-    tau: float = 0.495
-    sigma_step: float = 0.495
-    over_relaxation: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
                 raise ValueError(f"solver {f.name} must be a finite number, got {value!r}")
-        for name in ("max_iters", "stagnation_window"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"solver {name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
+            raise ValueError(f"solver max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.tol_rel <= 0:
             raise ValueError(f"solver tol_rel must be positive, got {self.tol_rel!r}")
-        if self.tau <= 0 or self.sigma_step <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.tau * self.sigma_step * 4.0 > 1.0 + 1e-12:
-            raise ValueError("step sizes must satisfy tau * sigma * 4 <= 1")
-        if not 0.0 <= self.over_relaxation <= 1.0:
-            raise ValueError("over_relaxation must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -357,6 +345,14 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     return x[:n]
 
 
+# PDHG step sizes (_TAU * _SIGMA_STEP * 4 <= 1 keeps the iteration stable),
+# over-relaxation and the length of the energy band the stop rule watches
+_TAU = 0.495
+_SIGMA_STEP = 0.495
+_OVER_RELAXATION = 1.0
+_STAGNATION_WINDOW = 100
+
+
 def _solve_pdhg(
     aniso: Anisotropy,
     grid: Grid,
@@ -373,7 +369,7 @@ def _solve_pdhg(
     method is not monotone, so the best-energy iterate seen is returned.
 
     Stops when the oscillation band of the iterate energy over the last
-    ``stagnation_window`` iterations drops below ``tol_rel`` relatively.
+    _STAGNATION_WINDOW iterations drops below ``tol_rel`` relatively.
     The band of the raw (non-monotone) energy series is used rather than
     the running best: the best value can sit still for long stretches
     while the iterate is still travelling, and stopping there returns a
@@ -386,7 +382,7 @@ def _solve_pdhg(
         raise ValueError("datum samples must match the grid nodes")
     h = grid.h
     w = trapezoid_weights(grid)
-    sigma, tau, theta = cfg.sigma_step, cfg.tau, cfg.over_relaxation
+    sigma, tau, theta = _SIGMA_STEP, _TAU, _OVER_RELAXATION
 
     u = g.copy()
     ubar = u.copy()
@@ -401,7 +397,7 @@ def _solve_pdhg(
 
     best_vals = u.copy()
     best_energy = total_energy(u)
-    window = cfg.stagnation_window
+    window = _STAGNATION_WINDOW
     band = np.full(window, np.inf)
     band[0] = best_energy
     converged = False

@@ -426,3 +426,107 @@ def test_smoothed_dual_bounds_derivatives_and_dual_field(aniso, vertices):
     np.testing.assert_allclose(f2, (f1p - f1m) / (2 * step), rtol=1e-4, atol=1e-3)
     # the width is relative to h, so phi°_eps is one-homogeneous in (r, h)
     np.testing.assert_allclose(aniso.smoothed_dual(3.0 * r, 3.0 * h, eps)[0], 3.0 * f, rtol=1e-13)
+
+
+# -- one representation per gauge ---------------------------------------
+
+
+def _regular_polygon(k, phase=0.0):
+    t = phase + 2.0 * math.pi * np.arange(k) / k
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+def _wide_range_vectors():
+    rng = np.random.default_rng(21)
+    mags = 10.0 ** rng.uniform(-8.0, 8.0, (4096, 2))
+    return rng.choice([-1.0, 1.0], (4096, 2)) * mags
+
+
+def test_lp1_is_the_diamond_and_lp2_is_euclidean_bitwise():
+    v = _wide_range_vectors()
+    x, y = v[:, 0], v[:, 1]
+    l1, l2 = Anisotropy.lp(1.0), Anisotropy.lp(2.0)
+    assert (l1.kind, l2.kind) == ("polygon", "euclidean")
+    assert np.array_equal(l1.eval_many(v), np.abs(x) + np.abs(y))
+    assert np.array_equal(l1.eval_dual_many(v), np.maximum(np.abs(x), np.abs(y)))
+    assert np.array_equal(l2.eval_many(v), np.hypot(x, y))
+    assert np.array_equal(l2.eval_dual_many(v), np.hypot(x, y))
+    assert l1.to_json() == {"kind": "polygon",
+                            "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}
+    assert l2.to_json() == {"kind": "euclidean"}
+    assert l1.wulff_measures().area == 2.0
+
+
+@pytest.mark.parametrize("vertices", [
+    np.array(SQUARE, dtype=float),
+    _regular_polygon(6, 0.2),
+    _regular_polygon(4096),
+], ids=["square", "hexagon", "4096-gon"])
+def test_polygon_kernels_match_the_matmul_reference(vertices):
+    # the matmul kernels the polygon gauge used before its row-pair loop
+    nxt = np.roll(vertices, -1, axis=0)
+    edges = nxt - vertices
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    normals /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    coeff = normals / np.einsum("ij,ij->i", vertices, normals)[:, None]
+    v = _wide_range_vectors().reshape(-1, 4, 2)
+    aniso = Anisotropy.polygon(vertices)
+    np.testing.assert_allclose(aniso.eval_many(v), np.maximum(v @ coeff.T, 0.0).max(axis=-1),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(aniso.eval_dual_many(v), (v @ vertices.T).max(axis=-1),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_generic_circle_is_a_lipschitz_gauge_like_the_euclidean_one():
+    from anisocurve import sigma_threshold
+
+    circle = Anisotropy.generic(math.hypot)
+    assert circle.kind == "polygon"
+    flags = circle.symmetry_flags()
+    assert flags.partially_monotone and not flags.vertical_facets
+    report = sigma_threshold(circle, 1.0, 2.0)
+    assert report.regularity_class == "lipschitz"
+    assert abs(report.sigma - sigma_threshold(Anisotropy.euclidean(), 1.0, 2.0).sigma) <= 1e-6
+    clone = anisotropy_from_json(circle.to_json())
+    x = _wide_range_vectors()
+    assert np.array_equal(clone.eval_dual_many(x), circle.eval_dual_many(x))
+
+
+def test_generic_polygon_and_its_flags_build_in_little_memory():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        Anisotropy.generic(math.hypot).symmetry_flags()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_polygon_rejects_a_moved_vertex_and_an_odd_count():
+    vertices = _regular_polygon(4096)
+    vertices[17] *= 1.0 + 1e-6
+    with pytest.raises(AnisotropyError):
+        Anisotropy.polygon(vertices)
+    with pytest.raises(AnisotropyError):
+        Anisotropy.polygon([[1, 0], [1, 1], [-1, 1], [-1, -1], [1, -1]])
+
+
+def test_polygon_rejects_a_star_and_generic_rejects_a_quasi_norm():
+    with pytest.raises(AnisotropyError, match="convex"):
+        Anisotropy.polygon([[1, 0], [0.2, 0.2], [0, 1], [-1, 0], [-0.2, -0.2], [0, -1]])
+    with pytest.raises(AnisotropyError, match="convex"):
+        Anisotropy.generic(lambda x, y: (math.sqrt(abs(x)) + math.sqrt(abs(y))) ** 2)
+    # a decagram turns left at every vertex but winds around the origin three times
+    with pytest.raises(AnisotropyError, match="convex"):
+        Anisotropy.polygon(_regular_polygon(10)[3 * np.arange(10) % 10])
+    # collinear samples of a flat facet are convex: a generic square builds
+    square = Anisotropy.generic(lambda x, y: max(abs(x), abs(y)))
+    assert square.eval_dual(np.array([2.0, 1.0])) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_generic_rejects_non_finite_or_non_positive_values():
+    for value in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(AnisotropyError):
+            Anisotropy.generic(lambda x, y, value=value: value)

@@ -1,9 +1,17 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisocurve import RasterSet, SolverDivergenceError, write_raster
 from anisocurve.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
@@ -223,6 +231,8 @@ def test_unknown_solver_key_exits_two(tmp_path, capsys):
     {"stagnation_window": 0},
     {"stagnation_window": float("nan")},
     {"tau": "0.4"},
+    {"sigma_step": 0.2},
+    {"over_relaxation": 1.0},
 ])
 def test_invalid_solver_settings_exit_two(tmp_path, capsys, solver):
     _exits_two_with_one_line(tmp_path, capsys, _problem_payload(solver=solver))
@@ -243,3 +253,73 @@ def test_non_finite_csv_datum_exits_two(tmp_path, capsys):
     csv.write_text("s,g\n-1,0\n0,nan\n1,1\n")
     _exits_two_with_one_line(tmp_path, capsys,
                              _problem_payload(g={"kind": "csv", "path": str(csv)}))
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"anisotropy": {"kind": "ellipse", "a": None, "b": 0.5}},
+    {"anisotropy": {"kind": "lp", "q": None}},
+    {"p": None},
+    {"g": [1]},
+    {"grid": {"n": 2.7}},
+    {"interval": [-1.0, INF]},
+    {"anisotropy": {"kind": "lp", "q": INF}},
+    {"anisotropy": {"kind": "ellipse", "a": INF, "b": 0.5}},
+], ids=["ellipse-a-null", "q-null", "p-null", "g-list", "n-fraction", "interval-inf",
+        "q-inf", "ellipse-a-inf"])
+def test_wrongly_typed_or_non_finite_fields_exit_two(tmp_path, capsys, overrides):
+    _exits_two_with_one_line(tmp_path, capsys, _problem_payload(**overrides))
+
+
+def test_star_polygon_exits_two(tmp_path, capsys):
+    star = [[1, 0], [0.2, 0.2], [0, 1], [-1, 0], [-0.2, -0.2], [0, -1]]
+    _exits_two_with_one_line(tmp_path, capsys,
+                             _problem_payload(anisotropy={"kind": "polygon", "vertices": star}))
+
+
+VALID_PROBLEMS = [
+    _problem_payload(anisotropy={"kind": "ellipse", "a": 2.0, "b": 0.5}, p=1.5,
+                     grid={"n": 8}, solver={"max_iters": 50, "tol_rel": 1e-8}),
+    _problem_payload(anisotropy={"kind": "lp", "q": 3.0}, g={"kind": "constant", "c": 0.1},
+                     grid={"n": 8}),
+    _problem_payload(anisotropy={"kind": "polygon",
+                                 "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
+                     grid={"n": 8}),
+]
+
+
+@pytest.mark.parametrize("problem", VALID_PROBLEMS, ids=["ellipse", "lp3", "square"])
+def test_the_problems_the_property_test_breaks_are_valid(tmp_path, problem):
+    prob = _write_json(tmp_path / "prob.json", problem)
+    assert main(["solve", prob, "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, child in items for leaf in _numeric_leaves(child, path + (key,))]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data(),
+       bad=st.sampled_from([None, "1", True, False, math.nan, INF, -INF, [1.0]]))
+def test_any_malformed_numeric_field_exits_two_with_one_line(data, bad):
+    problem = copy.deepcopy(data.draw(st.sampled_from(VALID_PROBLEMS)))
+    *parents, last = data.draw(st.sampled_from(_numeric_leaves(problem)))
+    node = problem
+    for key in parents:
+        node = node[key]
+    node[last] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        prob = _write_json(Path(tmp) / "prob.json", problem)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["solve", prob, "--out-dir", str(Path(tmp) / "out"), "--quiet"])
+    assert rc == EXIT_INPUT
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

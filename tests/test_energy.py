@@ -15,7 +15,7 @@ from anisocurve import (
     truncate,
     write_profile_csv,
 )
-from anisocurve.energy import IngestionError
+from anisocurve.energy import IngestionError, energy_totals
 from anisocurve import reference as ref
 
 EUCLID = Anisotropy.euclidean()
@@ -26,6 +26,16 @@ def test_grid_validation():
         Grid(1.0, 1.0, 4)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 0)
+
+
+def test_grid_rejects_non_finite_bounds_and_non_integer_cells():
+    for bounds in ((-1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            Grid(*bounds, 4)
+    for n in (2.7, 4.0, True, "4", None):
+        with pytest.raises(ValueError):
+            Grid(0.0, 1.0, n)
+    assert Grid(0.0, 1.0, np.int64(4)).n_cells == 4
 
 
 def test_profile_validation():
@@ -115,6 +125,19 @@ def test_energy_rejects_p_below_one():
     u = Profile(grid, np.zeros(3))
     with pytest.raises(ValueError):
         energy(EUCLID, u, np.zeros(3), 0.5)
+
+
+@pytest.mark.parametrize("aniso", [EUCLID, Anisotropy.ellipse(2.0, 0.5), Anisotropy.lp(3.0),
+                                   Anisotropy.lp(1.0)])
+def test_energy_and_energy_totals_agree_bitwise(aniso):
+    rng = np.random.default_rng(5)
+    grid = Grid(-1, 1, 37)
+    g = rng.uniform(-1, 1, 38)
+    rows = rng.uniform(-1, 1, (6, 38))
+    for p in (1.0, 1.5, 2.0):
+        totals = energy_totals(aniso, rows, g, p, grid)
+        for row, total in zip(rows, totals):
+            assert energy(aniso, Profile(grid, row), g, p).total == total
 
 
 def test_energy_convexity():
