@@ -49,7 +49,6 @@ from .solver import (
     SolverConfig,
     SolverDivergenceError,
     brute_force_oracle,
-    prox_fidelity,
     solve,
 )
 from .threshold import (

@@ -109,6 +109,13 @@ def finite_number(value, name: str) -> float:
     return float(value)
 
 
+def reject_unknown_keys(descriptor: dict, allowed, name: str) -> None:
+    """ValueError naming every key of a JSON object that is not in allowed."""
+    unknown = sorted(set(descriptor) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _max_abs_pairing(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """max_k |x rows[k, 0] + y rows[k, 1]|, elementwise, one whole-array pass per row.
 
@@ -542,9 +549,6 @@ class Anisotropy:
         out[todo] = proj
         return out
 
-    def project_wulff(self, x) -> np.ndarray:
-        return self.project_wulff_many(_as_vec(x)[None, :])[0]
-
     def _project_ellipse(self, x: np.ndarray) -> np.ndarray:
         # z_i = d_i^2 x_i / (d_i^2 + mu) with (d_1, d_2) = (a, b) and mu > 0
         # the root of rho(mu) = phi(z) = 1, where rho^2 = S = sum_i w_i and
@@ -640,6 +644,10 @@ class Anisotropy:
         return f"Anisotropy({self.kind}{args})"
 
 
+# the fields of each anisotropy kind's JSON descriptor besides "kind"
+_JSON_FIELDS = {"euclidean": (), "ellipse": ("a", "b"), "lp": ("q",), "polygon": ("vertices",)}
+
+
 def anisotropy_from_json(descriptor) -> Anisotropy:
     """Build an anisotropy from its JSON descriptor (dict or JSON string)."""
     if isinstance(descriptor, str):
@@ -647,6 +655,10 @@ def anisotropy_from_json(descriptor) -> Anisotropy:
     if not isinstance(descriptor, dict) or "kind" not in descriptor:
         raise AnisotropyError("anisotropy descriptor must be an object with a 'kind'")
     kind = descriptor["kind"]
+    fields = _JSON_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise AnisotropyError(f"unknown anisotropy kind {kind!r}")
+    reject_unknown_keys(descriptor, ("kind", *fields), f"{kind} anisotropy")
     if kind == "euclidean":
         return Anisotropy.euclidean()
     if kind == "ellipse":
@@ -659,4 +671,3 @@ def anisotropy_from_json(descriptor) -> Anisotropy:
             raise AnisotropyError("polygon vertices must be a list of [x, y] pairs")
         return Anisotropy.polygon(
             [[finite_number(c, "polygon vertex coordinate") for c in v] for v in vertices])
-    raise AnisotropyError(f"unknown anisotropy kind {kind!r}")

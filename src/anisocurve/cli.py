@@ -205,6 +205,8 @@ def cmd_diagnose(args) -> int:
         "refinement_classification": study.classification,
         "refinement_cells": study.cells,
         "refinement_slope_maxima": study.slope_maxima,
+        "refinement_slope_exponent": study.slope_exponent,
+        "refinement_jump_excess": study.jump_excess,
         "tangent_ball": asdict(ball),
     }
     run.emit_json("regularity_report.json", payload)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anisotropy import Anisotropy, finite_number
+from .anisotropy import Anisotropy, finite_number, reject_unknown_keys
 
 __all__ = [
     "Grid",
@@ -102,6 +102,10 @@ class EnergyBreakdown:
         return self.area + self.fidelity
 
 
+# the fields of each datum kind's JSON descriptor besides "kind"
+_JSON_FIELDS = {"constant": ("c",), "step": ("a",), "csv": ("path", "interp")}
+
+
 @dataclass(frozen=True)
 class GSpec:
     """Datum g: constant c, a two-level step of height a, or a CSV table.
@@ -144,15 +148,17 @@ class GSpec:
     @classmethod
     def from_json(cls, descriptor: dict) -> "GSpec":
         kind = descriptor.get("kind")
+        fields = _JSON_FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            raise IngestionError(f"unknown g kind {kind!r}")
+        reject_unknown_keys(descriptor, ("kind", *fields), f"{kind} datum")
         if kind == "constant":
             return cls.constant(finite_number(descriptor["c"], "datum constant c"))
         if kind == "step":
             return cls.step(finite_number(descriptor["a"], "datum step a"))
-        if kind == "csv":
-            if not isinstance(descriptor["path"], str):
-                raise IngestionError("datum csv path must be a string")
-            return cls.csv(descriptor["path"], descriptor.get("interp", "linear"))
-        raise IngestionError(f"unknown g kind {kind!r}")
+        if not isinstance(descriptor["path"], str):
+            raise IngestionError("datum csv path must be a string")
+        return cls.csv(descriptor["path"], descriptor.get("interp", "linear"))
 
     def to_json(self) -> dict:
         if self.kind == "constant":

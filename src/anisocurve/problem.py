@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anisotropy import Anisotropy, anisotropy_from_json, finite_number
+from .anisotropy import Anisotropy, anisotropy_from_json, finite_number, reject_unknown_keys
 from .energy import GSpec, Grid, check_fidelity_exponent
 from .solver import SolverConfig
 
@@ -41,6 +41,8 @@ def problem_from_json(descriptor: dict) -> Problem:
     """Build a problem from its JSON descriptor; ValueError on any malformed field."""
     if not isinstance(descriptor, dict):
         raise ValueError("problem descriptor must be a JSON object")
+    reject_unknown_keys(descriptor, ("anisotropy", "interval", "p", "g", "grid", "solver"),
+                        "problem")
     parts = {key: descriptor[key] for key in ("anisotropy", "g", "grid")}
     parts["solver"] = descriptor.get("solver", {})
     for key, value in parts.items():
@@ -50,12 +52,11 @@ def problem_from_json(descriptor: dict) -> Problem:
     if not isinstance(interval, list) or len(interval) != 2:
         raise ValueError("problem 'interval' must be a list of two numbers")
     x_min, x_max = (finite_number(v, "interval bound") for v in interval)
+    reject_unknown_keys(parts["grid"], ("n",), "grid")
     grid = Grid(x_min, x_max, parts["grid"]["n"])
     p = finite_number(descriptor["p"], "p")
     check_fidelity_exponent(p)
-    unknown = sorted(set(parts["solver"]) - {f.name for f in fields(SolverConfig)})
-    if unknown:
-        raise ValueError(f"unknown solver key(s): {', '.join(unknown)}")
+    reject_unknown_keys(parts["solver"], [f.name for f in fields(SolverConfig)], "solver")
     return Problem(
         aniso=anisotropy_from_json(parts["anisotropy"]),
         grid=grid,

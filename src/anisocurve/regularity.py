@@ -17,12 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .anisotropy import Anisotropy
-from .energy import Grid, Profile
-from .solver import SolveReport, SolverConfig, _solve_pdhg
-
-# The solver behind refinement_study: the PDHG iteration, not the public
-# Newton ``solve`` (see refinement_study for why).
-solve = _solve_pdhg
+from .energy import Grid, Profile, energy
+from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
     "RegularityReport",
@@ -33,8 +29,14 @@ __all__ = [
     "tangent_ball_check",
 ]
 
-LIPSCHITZ_RATIO = 1.2  # stabilization threshold for max|du|/h across levels
-JUMP_RATIO = 1.8  # growth-per-level threshold flagging a concentrating jump
+# Labels of refinement_study: slope exponents at or below LIPSCHITZ_EXPONENT
+# are bounded slopes, at or above JUMP_EXPONENT a jump on one edge; a jump
+# excess that shrinks by JUMP_EXCESS_DECAY or more per level tends to 0.
+LIPSCHITZ_EXPONENT = 0.25
+JUMP_EXPONENT = 0.75
+JUMP_EXCESS_DECAY = 0.75
+JUMP_FRACTION = 0.125  # the probed jump, as a fraction of the datum's range
+FLAT_SLOPE = 1e-9  # slope maxima below this count as a flat profile
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,8 @@ class RefinementStudy:
     classification: str  # "lipschitz" | "jump_suspected" | "inconclusive"
     cells: list
     slope_maxima: list
+    slope_exponent: float  # beta, the least-squares slope of log L_k against log(1/h_k)
+    jump_excess: list  # Delta E_k, the energy cost of a jump of J = ptp(g)/8 on level k
     base_report: SolveReport  # the solve on the unrefined grid (level 0)
 
 
@@ -99,34 +103,35 @@ def refinement_study(
     levels: int = 3,
     cfg: Optional[SolverConfig] = None,
 ) -> RefinementStudy:
-    """Solve on dyadically refined grids and classify the slope growth.
+    """Solve on dyadically refined grids and classify the minimizers.
 
-    The slope maximum L_k = max |du| / h stabilizes for Lipschitz
-    minimizers (successive ratio <= 1.2) and roughly doubles per level
-    when a jump concentrates on a single edge (ratio >= 1.8).
+    Level k is solved by :func:`anisocurve.solver.solve` on the k-th
+    dyadic refinement of ``grid``.  Two statistics of the minimizers u_k
+    decide the label:
 
-    Each level is solved cold from the sampled datum with the same
-    iteration budget, so the statistic compares equal-effort solves;
-    warm starting from the coarse solution parks the iterate in the
-    flat part of a degenerate minimizer family and hides the growth.
+    - the slope exponent beta, the least-squares slope of log L_k
+      against log(1/h_k), with L_k = max |du| / h.  It is 0 for bounded
+      slopes and 1 for a jump that concentrates on one edge; a flat
+      profile has beta = 0;
+    - the jump excess Delta E_k.  At the edge with the largest |du|, the
+      nodes left of it are shifted by -J/2 and the nodes right of it by
+      +J/2, in the direction that enlarges the jump, with
+      J = ptp(g) / 8.  Delta E_k is the exact energy of the shifted
+      profile minus that of u_k.  It bounds from above the cost of the
+      cheapest profile with that extra jump, so it tends to 0 only when
+      a jump of size J is admissible in the limit.
 
-    The levels are solved by the first-order PDHG iteration, not by the
-    Newton :func:`anisocurve.solver.solve`.  For a step datum above the
-    threshold the minimizers form a degenerate family (the 4 + pi/2 arc
-    pairs), and which member a solver returns decides the label.  PDHG,
-    cut off at its iteration budget and started from the datum's jump,
-    returns members that keep a jump, labelled ``jump_suspected``.
-    Newton reaches a lower discrete energy at the jump-free member with a
-    vertical tangent, whose slope maxima grow by about 1.41 per level,
-    which is ``inconclusive``.  The label should become a property of the
-    minimizers, not of the solver's path, before the study switches.
+    ``lipschitz`` when beta <= 0.25; ``jump_suspected`` when beta >= 0.75
+    or Delta E_{k+1} <= 0.75 Delta E_k at every level; ``inconclusive``
+    otherwise, which includes data whose steepest slope the grids do not
+    resolve yet.
     """
     if levels < 3:
         raise ValueError("refinement_study needs at least 3 levels")
-    if cfg is None:
-        cfg = SolverConfig(max_iters=20_000)
+    cfg = cfg or SolverConfig()
     cells = []
     slope_maxima = []
+    jump_excess = []
     base_report = None
     g_current = grid
     for _ in range(levels):
@@ -135,24 +140,28 @@ def refinement_study(
         if base_report is None:
             base_report = report
         du = report.profile.edge_differences()
-        slope_maxima.append(float(np.max(np.abs(du)) / g_current.h))
+        j = int(np.argmax(np.abs(du)))
+        half_jump = math.copysign(0.5 * JUMP_FRACTION * float(np.ptp(g_samples)), du[j])
+        shifted = report.profile.values + np.where(np.arange(len(du) + 1) > j,
+                                                   half_jump, -half_jump)
+        shifted_energy = energy(aniso, Profile(g_current, shifted), g_samples, p).total
+        jump_excess.append(shifted_energy - report.energy.total)
+        slope_maxima.append(float(np.abs(du[j]) / g_current.h))
         cells.append(g_current.n_cells)
         g_current = g_current.refine()
 
-    flat_tol = 1e-9
-    if max(slope_maxima) <= flat_tol:
-        return RefinementStudy("lipschitz", cells, slope_maxima, base_report)
-    ratios = [
-        b / a if a > flat_tol else math.inf
-        for a, b in zip(slope_maxima[:-1], slope_maxima[1:])
-    ]
-    if all(r <= LIPSCHITZ_RATIO for r in ratios):
+    # least squares in closed form: np.polyfit would load LAPACK, about 1 MB
+    x = np.log(np.array(cells) / grid.length)
+    x -= x.mean()
+    beta = float(np.sum(x * np.log(np.maximum(slope_maxima, FLAT_SLOPE))) / np.sum(x * x))
+    if beta <= LIPSCHITZ_EXPONENT:
         cls = "lipschitz"
-    elif all(r >= JUMP_RATIO for r in ratios[-2:]):
+    elif beta >= JUMP_EXPONENT or all(
+            b <= JUMP_EXCESS_DECAY * a for a, b in zip(jump_excess[:-1], jump_excess[1:])):
         cls = "jump_suspected"
     else:
         cls = "inconclusive"
-    return RefinementStudy(cls, cells, slope_maxima, base_report)
+    return RefinementStudy(cls, cells, slope_maxima, beta, jump_excess, base_report)
 
 
 def _graph_obstacles(u: Profile) -> np.ndarray:

@@ -116,6 +116,9 @@ def test_diagnose_command(tmp_path):
     report = json.loads((out / "regularity_report.json").read_text())
     assert report["refinement_classification"] == "lipschitz"
     assert report["refinement_cells"] == [64, 128, 256]
+    assert report["refinement_slope_exponent"] <= 0.25
+    excess = report["refinement_jump_excess"]
+    assert len(excess) == 3 and all(e > 0.0 for e in excess)
     assert report["tangent_ball"]["radius_tested"] == 0.2
 
 
@@ -144,6 +147,9 @@ def test_input_errors_exit_two(tmp_path, euclid_json):
     asym = _write_json(tmp_path / "asym.json",
                        {"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, -0.5]]})
     assert main(["wulff", asym, "--quiet"]) == EXIT_INPUT
+
+    extra = _write_json(tmp_path / "extra.json", {"kind": "ellipse", "a": 2, "b": 0.5, "c": 7})
+    assert main(["wulff", extra, "--quiet"]) == EXIT_INPUT
 
     assert main(["threshold", euclid_json, "--p", "0.5", "--length", "2",
                  "--quiet"]) == EXIT_INPUT
@@ -218,6 +224,20 @@ def test_problem_that_is_not_an_object_exits_two(tmp_path, capsys):
 def test_unknown_solver_key_exits_two(tmp_path, capsys):
     _exits_two_with_one_line(tmp_path, capsys,
                              _problem_payload(solver={"max_iters": 100, "tolerance": 1e-8}))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"anisotropy": {"kind": "ellipse", "a": 2.0, "b": 0.5, "c": 7}},
+    {"anisotropy": {"kind": "euclidean", "a": 1.0}},
+    {"g": {"kind": "step", "a": 0.05, "height": 3}},
+    {"g": {"kind": "constant", "c": 0.1, "a": 0.05}},
+    {"grid": {"n": 16, "cells": 99}},
+    {"grid": {"n": 16, "a\nb": 1}},
+    {"solvr": {"max_iters": 100}},
+], ids=["ellipse-c", "euclidean-a", "step-height", "constant-a", "grid-cells",
+        "grid-newline-key", "top-solvr"])
+def test_unknown_descriptor_key_exits_two(tmp_path, capsys, overrides):
+    _exits_two_with_one_line(tmp_path, capsys, _problem_payload(**overrides))
 
 
 @pytest.mark.parametrize("solver", [
@@ -316,6 +336,35 @@ def test_any_malformed_numeric_field_exits_two_with_one_line(data, bad):
     for key in parents:
         node = node[key]
     node[last] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        prob = _write_json(Path(tmp) / "prob.json", problem)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["solve", prob, "--out-dir", str(Path(tmp) / "out"), "--quiet"])
+    assert rc == EXIT_INPUT
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _objects(node, path=()):
+    """Paths of every JSON object in a problem, the problem itself included."""
+    if isinstance(node, dict):
+        return [path] + [p for key, child in node.items() for p in _objects(child, path + (key,))]
+    if isinstance(node, list):
+        return [p for key, child in enumerate(node) for p in _objects(child, path + (key,))]
+    return []
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), key=st.text(min_size=1, max_size=8),
+       value=st.sampled_from([0.5, 1, "linear", None, [1.0], {}]))
+def test_any_unknown_key_exits_two_with_one_line(data, key, value):
+    problem = copy.deepcopy(data.draw(st.sampled_from(VALID_PROBLEMS)))
+    node = problem
+    for step in data.draw(st.sampled_from(_objects(problem))):
+        node = node[step]
+    if key in node:
+        key += "_x"
+    node[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         prob = _write_json(Path(tmp) / "prob.json", problem)
         err = io.StringIO()

@@ -11,6 +11,7 @@ from anisocurve import (
     GSpec,
     Profile,
     SolverConfig,
+    energy,
     lipschitz_report,
     refinement_study,
     solve,
@@ -94,6 +95,50 @@ def test_refinement_above_threshold_jump():
     study = refinement_study(EUCLID, Grid(-1, 1, 64), GSpec.step(2.0), 1.0,
                              cfg=SolverConfig(max_iters=8000))
     assert study.classification == "jump_suspected"
+
+
+def test_refinement_runs_on_the_public_newton_solve():
+    import anisocurve.regularity
+    import anisocurve.solver
+
+    assert anisocurve.regularity.solve is anisocurve.solver.solve
+
+
+def test_refinement_statistics_explain_the_labels():
+    below = refinement_study(EUCLID, Grid(-1, 1, 64), GSpec.step(0.05), 1.0)
+    assert below.slope_exponent <= 0.25
+    # the cost of an extra jump does not vanish below the threshold
+    assert all(b > 0.75 * a for a, b in zip(below.jump_excess[:-1], below.jump_excess[1:]))
+    above = refinement_study(EUCLID, Grid(-1, 1, 64), GSpec.step(2.0), 1.0)
+    # above it the arc pairs make a jump admissible: the excess halves per level
+    assert 0.25 < above.slope_exponent < 0.75
+    assert all(0.0 < b <= 0.6 * a for a, b in zip(above.jump_excess[:-1], above.jump_excess[1:]))
+    assert above.classification == "jump_suspected"
+    # the excess is the exact energy of the minimizer with its steepest edge
+    # enlarged by J = ptp(g) / 8, minus the minimizer's energy
+    u = above.base_report.profile.values
+    j = int(np.argmax(np.abs(np.diff(u))))
+    shifted = u + np.where(np.arange(65) > j, 0.25, -0.25)
+    g = GSpec.step(2.0).sample(Grid(-1, 1, 64))
+    assert above.jump_excess[0] == pytest.approx(
+        energy(EUCLID, Profile(Grid(-1, 1, 64), shifted), g, 1.0).total
+        - above.base_report.energy.total, rel=1e-12)
+
+
+def test_refinement_slope_exponent_flags_a_jump():
+    # p = 1.5 keeps a jump of the height-2 step on one edge: L_k ~ 1/h
+    study = refinement_study(EUCLID, Grid(-1, 1, 128), GSpec.step(2.0), 1.5)
+    assert study.slope_exponent >= 0.75
+    assert study.classification == "jump_suspected"
+
+
+def test_refinement_unresolved_slope_is_inconclusive():
+    # height 0.99 is below the jump transition at 1, but its steepest slope
+    # (c11_max_slope, about 100) is not resolved at n <= 4096
+    study = refinement_study(EUCLID, Grid(-1, 1, 512), GSpec.step(0.99), 1.0, levels=4)
+    assert 0.25 < study.slope_exponent < 0.75
+    assert study.jump_excess[-1] > 0.75 * study.jump_excess[-2]
+    assert study.classification == "inconclusive"
 
 
 # -- tangent ball -------------------------------------------------------

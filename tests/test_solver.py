@@ -1,4 +1,4 @@
-"""Newton solver, PDHG solver and brute-force oracle tests."""
+"""Newton solver and brute-force oracle tests; the PDHG reference and its prox."""
 
 import dataclasses
 
@@ -14,12 +14,12 @@ from anisocurve import (
     SolverDivergenceError,
     brute_force_oracle,
     energy,
-    prox_fidelity,
     solve,
 )
 from anisocurve.energy import energy_totals
-from anisocurve.solver import _prox_fidelity_many, _solve_pdhg, _solve_tridiagonal
+from anisocurve.solver import _solve_tridiagonal
 from anisocurve import reference as ref
+from pdhg_reference import _prox_fidelity_many, _solve_pdhg, prox_fidelity
 
 EUCLID = Anisotropy.euclidean()
 SQUARE = Anisotropy.polygon([[1, 1], [-1, 1], [-1, -1], [1, -1]])
@@ -44,7 +44,7 @@ def _fuzz(rng, n):
     return np.repeat(rng.uniform(-1, 1, pieces), np.diff(np.r_[0, cuts, n + 1]))
 
 
-# -- prox ---------------------------------------------------------------
+# -- prox of the PDHG reference -----------------------------------------
 
 
 def test_prox_p1_full_shrinkage():
