@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,6 +107,13 @@ def finite_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def positive_integer(value, name: str) -> int:
+    """value if it is an integer >= 1 (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def reject_unknown_keys(descriptor: dict, allowed, name: str) -> None:

@@ -3,13 +3,17 @@
 Subcommands: wulff | threshold | solve | diagnose | classify | rearrange.
 Exit codes: 0 completed, 2 input error, 3 solver divergence.  Every run
 writes a manifest JSON listing the resolved configuration, the emitted
-artifacts and per-phase wall time, so reruns are reproducible.
+artifacts, per-phase wall time and the versions, platform and CPU count
+it ran with, so reruns are reproducible.  Every JSON artifact is strict
+JSON written from a result dataclass by ``_Run.emit_json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict
@@ -20,8 +24,8 @@ import numpy as np
 from . import __version__
 from .anisotropy import Anisotropy, AnisotropyError, anisotropy_from_json
 from .classifier import cahn_hoffman
-from .energy import IngestionError, read_profile_csv, write_profile_csv
-from .geometry import column_heights, read_raster, vertical_rearrangement
+from .energy import IngestionError, read_profile_csv, write_profile_csv, write_two_column_csv
+from .geometry import column_heights, read_raster, vertical_rearrangement, write_raster
 from .problem import load_problem
 from .regularity import lipschitz_report, refinement_study, tangent_ball_check
 from .solver import SolverDivergenceError, solve
@@ -35,6 +39,13 @@ EXIT_DIVERGED = 3
 
 def _read_aniso(path: str) -> Anisotropy:
     return anisotropy_from_json(json.loads(Path(path).read_text()))
+
+
+def _plain(value):
+    """numpy arrays and scalars as the lists and numbers JSON knows."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 class _Run:
@@ -57,41 +68,39 @@ class _Run:
         self.phases[name] = now - self._phase_start
         self._phase_start = now
 
-    def emit_text(self, name: str, text: str) -> Path:
-        path = self.out_dir / name
-        path.write_text(text)
+    def artifact(self, name: str) -> Path:
+        """The path of a new artifact, listed in the manifest."""
         self.artifacts.append(name)
-        return path
+        return self.out_dir / name
 
-    def emit_json(self, name: str, payload) -> Path:
-        return self.emit_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def emit_text(self, name: str, text: str) -> None:
+        self.artifact(name).write_text(text)
+
+    def emit_json(self, name: str, payload) -> None:
+        """Strict JSON: a NaN or infinity raises instead of writing a non-JSON token."""
+        self.emit_text(name, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                                        default=_plain) + "\n")
 
     def say(self, message: str) -> None:
         if not self.quiet:
             print(message)
 
     def finish(self) -> None:
-        manifest = {
+        self.emit_json("manifest.json", {
             "command": self.command,
             "tool_version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            # platform.platform() would start a `uname -p` process on every run
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            "cpu_count": os.cpu_count(),
             "inputs": self.inputs,
             "config": self.config,
             "artifacts": sorted(self.artifacts),
             "wall_time_s": self.phases,
             "total_wall_time_s": time.perf_counter() - self._t0,
-        }
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        self.say(f"wrote {len(self.artifacts) + 1} artifacts to {self.out_dir}")
-
-
-def _flags_json(flags) -> dict:
-    return {
-        "partially_monotone": flags.partially_monotone,
-        "vertical_facets": flags.vertical_facets,
-        "elliptic": flags.elliptic,
-        "rolling_radius_estimate": flags.rolling_radius_estimate,
-    }
+        })
+        self.say(f"wrote {len(self.artifacts)} artifacts to {self.out_dir}")
 
 
 def cmd_wulff(args) -> int:
@@ -104,9 +113,8 @@ def cmd_wulff(args) -> int:
     measures = aniso.wulff_measures(max(args.samples, 256))
     flags = aniso.symmetry_flags()
     run.phase("geometry")
-    lines = ["x,y"] + [f"{x:.17g},{y:.17g}" for x, y in pts]
-    run.emit_text("wulff_boundary.csv", "\n".join(lines) + "\n")
-    run.emit_json("wulff.json", {"measures": asdict(measures), "flags": _flags_json(flags)})
+    write_two_column_csv(run.artifact("wulff_boundary.csv"), "x,y", pts[:, 0], pts[:, 1])
+    run.emit_json("wulff.json", {"measures": asdict(measures), "flags": asdict(flags)})
     if args.svg:
         closed = np.vstack([pts, pts[:1]])
         run.emit_text("wulff.svg", render_polylines([closed], labels=["wulff shape"]))
@@ -149,22 +157,11 @@ def cmd_solve(args) -> int:
     g = problem.g_samples()
     report = solve(problem.aniso, problem.grid, g, problem.p, problem.solver)
     run.phase("solve")
-    write_profile_csv(report.profile, run.out_dir / "profile.csv")
-    run.artifacts.append("profile.csv")
-    run.emit_json(
-        "solve_report.json",
-        {
-            "energy": {
-                "area": report.energy.area,
-                "fidelity": report.energy.fidelity,
-                "total": report.energy.total,
-            },
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "final_stagnation": report.final_stagnation,
-            "dual_feasibility_max_violation": report.dual_feasibility_max_violation,
-        },
-    )
+    write_profile_csv(report.profile, run.artifact("profile.csv"))
+    payload = asdict(report)
+    del payload["profile"]  # written to profile.csv
+    payload["energy"]["total"] = report.energy.total
+    run.emit_json("solve_report.json", payload)
     if args.svg:
         nodes = problem.grid.nodes()
         curves = [
@@ -198,18 +195,10 @@ def cmd_diagnose(args) -> int:
     lip = lipschitz_report(report.profile, g)
     ball = tangent_ball_check(problem.aniso, report.profile, args.radius, args.tol)
     run.phase("diagnostics")
-    payload = {
-        "lipschitz_estimate": lip.lipschitz_estimate,
-        "normal_deviation_min": lip.normal_deviation_min,
-        "max_principle_ok": lip.max_principle_ok,
-        "refinement_classification": study.classification,
-        "refinement_cells": study.cells,
-        "refinement_slope_maxima": study.slope_maxima,
-        "refinement_slope_exponent": study.slope_exponent,
-        "refinement_jump_excess": study.jump_excess,
-        "tangent_ball": asdict(ball),
-    }
-    run.emit_json("regularity_report.json", payload)
+    refinement = {f"refinement_{key}": value for key, value in asdict(study).items()
+                  if key != "base_report"}
+    run.emit_json("regularity_report.json",
+                  {**asdict(lip), **refinement, "tangent_ball": asdict(ball)})
     if args.svg:
         nodes = problem.grid.nodes()
         wpts = problem.aniso.wulff_sample(256)
@@ -233,22 +222,7 @@ def cmd_classify(args) -> int:
     run = _Run("classify", args.out_dir, [args.profile, args.anisotropy], {}, args.quiet)
     result = cahn_hoffman(aniso, profile)
     run.phase("classify")
-    payload = {
-        "feasible": result.feasible,
-        "monotone": result.monotone,
-        "infeasibility_witness": result.infeasibility_witness,
-        "hypothesis_warning": result.hypothesis_warning,
-    }
-    if result.witness_arc is not None:
-        arc = result.witness_arc
-        payload["witness_arc"] = {
-            "s_lo": arc.s_lo,
-            "s_hi": arc.s_hi,
-            "total_length": arc.total_length,
-            "endpoints": arc.endpoints.tolist(),
-            "midpoint": arc.midpoint.tolist(),
-        }
-    run.emit_json("cahn_hoffman.json", payload)
+    run.emit_json("cahn_hoffman.json", asdict(result))
     run.phase("emit")
     run.say(f"feasible: {result.feasible} ({result.monotone})")
     run.finish()
@@ -262,12 +236,8 @@ def cmd_rearrange(args) -> int:
     stacked = vertical_rearrangement(raster)
     run.phase("rearrange")
     centers = raster.x_min + raster.dx * (np.arange(raster.nx) + 0.5)
-    lines = ["s,u"] + [f"{s:.17g},{u:.17g}" for s, u in zip(centers, heights)]
-    run.emit_text("rearranged_profile.csv", "\n".join(lines) + "\n")
-    from .geometry import write_raster
-
-    write_raster(stacked, run.out_dir / "rearranged.raster")
-    run.artifacts.append("rearranged.raster")
+    write_two_column_csv(run.artifact("rearranged_profile.csv"), "s,u", centers, heights)
+    write_raster(stacked, run.artifact("rearranged.raster"))
     run.phase("emit")
     run.finish()
     return EXIT_OK

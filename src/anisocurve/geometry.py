@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anisotropy import Anisotropy
+from .anisotropy import Anisotropy, finite_number, positive_integer, reject_unknown_keys
 
 __all__ = [
     "RasterSet",
@@ -108,26 +108,38 @@ def write_raster(raster: RasterSet, path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         # rows from the top of the box down, like an image
-        for j in range(raster.ny - 1, -1, -1):
-            fh.write(" ".join("1" if raster.cells[i, j] else "0" for i in range(raster.nx)))
-            fh.write("\n")
+        for row in raster.cells.T[::-1]:
+            fh.write(" ".join(["1" if c else "0" for c in row.tolist()]) + "\n")
+
+
+_CELL = {"0": False, "1": True}
 
 
 def read_raster(path) -> RasterSet:
+    """Read a raster file; ValueError on any malformed header field or cell."""
     path = Path(path)
     lines = path.read_text().strip().splitlines()
     if not lines:
         raise ValueError(f"{path} is empty")
     header = json.loads(lines[0])
-    nx, ny = int(header["nx"]), int(header["ny"])
-    x_min, x_max, y_min, y_max = (float(v) for v in header["box"])
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the header must be a JSON object")
+    reject_unknown_keys(header, ("box", "nx", "ny"), "raster header")
+    nx, ny = (positive_integer(header[key], f"raster {key}") for key in ("nx", "ny"))
+    box = header["box"]
+    if not isinstance(box, list) or len(box) != 4:
+        raise ValueError(f"{path}: box must be a list of four numbers")
+    # RasterSet rejects a box with min >= max
+    x_min, x_max, y_min, y_max = (finite_number(v, "raster box bound") for v in box)
     if len(lines) - 1 != ny:
         raise ValueError(f"{path}: expected {ny} grid rows, found {len(lines) - 1}")
     cells = np.zeros((nx, ny), dtype=bool)
     for k, line in enumerate(lines[1:]):
-        j = ny - 1 - k
         row = line.split()
         if len(row) != nx:
             raise ValueError(f"{path}: row {k} has {len(row)} entries, expected {nx}")
-        cells[:, j] = [tok == "1" for tok in row]
+        try:
+            cells[:, ny - 1 - k] = [_CELL[tok] for tok in row]
+        except KeyError as exc:
+            raise ValueError(f"{path}: row {k} has cell {exc.args[0]!r}, expected 0 or 1") from None
     return RasterSet(x_min, x_max, y_min, y_max, cells)

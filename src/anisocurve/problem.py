@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ class Problem:
             "p": self.p,
             "g": self.gspec.to_json(),
             "grid": {"n": self.grid.n_cells},
-            "solver": {"max_iters": self.solver.max_iters, "tol_rel": self.solver.tol_rel},
+            "solver": asdict(self.solver),
         }
 
 

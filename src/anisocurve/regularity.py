@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anisotropy import Anisotropy
+from .anisotropy import Anisotropy, finite_number
 from .energy import Grid, Profile, energy
 from .solver import SolveReport, SolverConfig, solve
 
@@ -198,12 +198,15 @@ def tangent_ball_check(
     For each vertex, translated Wulff shapes of radius r are placed
     tangentially above and below along the vertex normal; the fraction
     of vertices whose ball avoids the graph (within tol, default 5h)
-    is reported per side.
+    is reported per side.  r must be finite and positive, tol finite and
+    nonnegative.
     """
-    if r <= 0:
-        raise ValueError("tangent ball radius must be positive")
+    if finite_number(r, "tangent ball radius") <= 0:
+        raise ValueError(f"tangent ball radius must be positive, got {r!r}")
     h = u.grid.h
-    tol = 5.0 * h if tol is None else float(tol)
+    tol = 5.0 * h if tol is None else finite_number(tol, "tangent ball tolerance")
+    if tol < 0:
+        raise ValueError(f"tangent ball tolerance must be nonnegative, got {tol!r}")
     nodes = u.grid.nodes()
     vertices = np.column_stack([nodes, u.values])
     edge_nu = edge_unit_normals(u)

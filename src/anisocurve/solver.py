@@ -31,13 +31,12 @@ puts them back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .anisotropy import Anisotropy
+from .anisotropy import Anisotropy, finite_number, positive_integer
 from .energy import (EnergyBreakdown, Grid, Profile, check_fidelity_exponent, energy,
                      energy_totals, trapezoid_weights)
 
@@ -90,13 +89,8 @@ class SolverConfig:
     tol_rel: float = 1e-10
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-                raise ValueError(f"solver {f.name} must be a finite number, got {value!r}")
-        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
-            raise ValueError(f"solver max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if self.tol_rel <= 0:
+        positive_integer(self.max_iters, "solver max_iters")
+        if finite_number(self.tol_rel, "solver tol_rel") <= 0:
             raise ValueError(f"solver tol_rel must be positive, got {self.tol_rel!r}")
 
 
@@ -288,43 +282,57 @@ def brute_force_oracle(
     p: float,
     levels: int = 21,
 ) -> Profile:
-    """Independent minimizer for tiny grids: exhaustive scan + refinement.
+    """Independent minimizer for tiny grids: lattice minimum + refinement.
 
     Nodal values are quantized to ``levels`` points in the maximum
-    principle window [-||g||_inf, ||g||_inf]; the quantized optimum is
-    then polished by a shrinking full cross-product pattern search.
-    The pattern includes every diagonal move, which matters: the energy
-    is piecewise linear for crystalline gauges with p = 1, and purely
-    coordinate-wise refinement stalls at nonsmooth corners there.
+    principle window [-||g||_inf, ||g||_inf], and the exact minimum over
+    that lattice is found by dynamic programming along the chain; the
+    lattice optimum is then polished by a shrinking full cross-product
+    pattern search.  The pattern includes every diagonal move, which
+    matters: the energy is piecewise linear for crystalline gauges with
+    p = 1, and purely coordinate-wise refinement stalls at nonsmooth
+    corners there.
     """
     if grid.n_cells > 4:
         raise ValueError("brute_force_oracle handles n_cells <= 4 only")
     if levels < 21:
         raise ValueError("oracle requires levels >= 21")
     g = np.asarray(g, dtype=float)
-    n_nodes = grid.n_cells + 1
     bound = float(np.max(np.abs(g)))
     if bound == 0.0:
-        return Profile(grid, np.zeros(n_nodes))
+        return Profile(grid, np.zeros(grid.n_cells + 1))
     axis = np.linspace(-bound, bound, levels)
-
-    best_vals = None
-    best_energy = np.inf
-    # enumerate chunked over the first coordinate to bound memory
-    tail_grids = np.meshgrid(*([axis] * (n_nodes - 1)), indexing="ij")
-    tail = np.column_stack([t.ravel() for t in tail_grids])
-    block = np.empty((len(tail), n_nodes))
-    block[:, 1:] = tail
-    for v0 in axis:
-        block[:, 0] = v0
-        totals = energy_totals(aniso, block, g, p, grid)
-        k = int(np.argmin(totals))
-        if totals[k] < best_energy:
-            best_energy = float(totals[k])
-            best_vals = block[k].copy()
-
-    vals = _pattern_refine(aniso, grid, g, p, best_vals, bound)
+    vals = _pattern_refine(aniso, grid, g, p, _lattice_minimum(aniso, grid, g, p, axis), bound)
     return Profile(grid, vals)
+
+
+def _lattice_minimum(
+    aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float, axis: np.ndarray
+) -> np.ndarray:
+    """Nodal values on ``axis`` of least energy, by min-sum dynamic programming.
+
+    The energy is a chain: a fidelity term per node plus an edge term per
+    pair of neighbours, the same L x L table for every edge.  The forward
+    pass keeps, for each level of node j, the cheapest energy of nodes
+    0..j and the level of node j - 1 it came from; the backward pass reads
+    the minimizer off those choices.  O(n L^2) instead of L^(n+1).
+    """
+    steps = axis[None, :] - axis[:, None]  # [a, b]: the difference from level a to level b
+    edge = aniso.eval_dual_many(np.stack([-steps, np.full_like(steps, grid.h)], axis=-1))
+    fidelity = trapezoid_weights(grid)[:, None] * np.abs(axis[None, :] - g[:, None]) ** p
+    cost = fidelity[0]
+    choices = []
+    for node_cost in fidelity[1:]:
+        total = cost[:, None] + edge
+        came_from = np.argmin(total, axis=0)
+        choices.append(came_from)
+        cost = total[came_from, np.arange(len(axis))] + node_cost
+    k = int(np.argmin(cost))
+    path = [k]
+    for came_from in reversed(choices):
+        k = int(came_from[k])
+        path.append(k)
+    return axis[path[::-1]]
 
 
 def _pattern_refine(
@@ -336,7 +344,7 @@ def _pattern_refine(
     bound: float,
     max_stages: int = 2000,
 ) -> np.ndarray:
-    """Shrinking cross-product pattern search around the scan optimum.
+    """Shrinking cross-product pattern search around the lattice optimum.
 
     Evaluates center + {-w, -w/2, 0, w/2, w}^m at each stage, moves to
     the best point, halves w when the center already wins.  The energy

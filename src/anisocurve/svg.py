@@ -37,7 +37,7 @@ def render_polylines(
     ]
     for k, curve in enumerate(curves):
         x, y = to_px(np.asarray(curve, dtype=float))
-        d = "M " + " L ".join(f"{a:.3f} {b:.3f}" for a, b in zip(x, y))
+        d = "M " + " L ".join(f"{a:.3f} {b:.3f}" for a, b in zip(x.tolist(), y.tolist()))
         color = _COLORS[k % len(_COLORS)]
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if labels and k < len(labels):

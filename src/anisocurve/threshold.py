@@ -13,12 +13,12 @@ for elliptic smooth gauges without vertical facets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .anisotropy import Anisotropy, SymmetryFlags
+from .anisotropy import Anisotropy, SymmetryFlags, finite_number
 from .energy import check_fidelity_exponent
 
 __all__ = [
@@ -53,23 +53,9 @@ class ThresholdReport:
     interval_length: float
 
     def to_json(self) -> dict:
-        return {
-            "alpha0": self.alpha0,
-            "c_phi": self.c_phi,
-            "sigma": self.sigma,
-            "gamma": self.gamma,
-            "lambda": self.lam,
-            "phi_e1": self.phi_e1,
-            "phi_e2": self.phi_e2,
-            "hypotheses": {
-                "partially_monotone": self.hypotheses.partially_monotone,
-                "vertical_facets": self.hypotheses.vertical_facets,
-                "elliptic": self.hypotheses.elliptic,
-            },
-            "regularity_class": self.regularity_class,
-            "p": self.p,
-            "interval_length": self.interval_length,
-        }
+        payload = asdict(self)
+        payload["lambda"] = payload.pop("lam")
+        return payload
 
 
 @dataclass(frozen=True)
@@ -78,6 +64,11 @@ class LinfCheck:
     bound: float
     contact_radius_cap: float
     gamma_lower_bound: float
+
+
+def _check_interval_length(length: float) -> None:
+    if finite_number(length, "interval length") <= 0:
+        raise ValueError(f"interval length must be positive, got {length!r}")
 
 
 def _classify(flags: SymmetryFlags) -> str:
@@ -98,8 +89,7 @@ def sigma_threshold(
     regularity_class field then reads "not_applicable".
     """
     check_fidelity_exponent(p)
-    if interval_length <= 0:
-        raise ValueError("interval length must be positive")
+    _check_interval_length(interval_length)
     measures = aniso.wulff_measures(measure_samples)
     phi_e1 = aniso.eval(E1)
     phi_e2 = aniso.eval(E2)
@@ -151,8 +141,9 @@ def linf_hypothesis_check(
     Also exposes the uniform contact-ball radius cap alpha0 / Lambda and
     the strip half-height lower bound alpha0 phi(e1) / (2 Lambda).
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if finite_number(lam, "lambda") <= 0:
+        raise ValueError(f"lambda must be positive, got {lam!r}")
+    _check_interval_length(interval_length)
     measures = aniso.wulff_measures(measure_samples)
     phi_e1 = aniso.eval(E1)
     phi_e2 = aniso.eval(E2)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisocurve import RasterSet, SolverDivergenceError, write_raster
-from anisocurve.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
+from anisocurve.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, _Run, main
 
 
 def _write_json(path, payload):
@@ -58,6 +58,9 @@ def test_wulff_command(tmp_path, euclid_json):
     man = _manifest(out)
     assert man["command"] == "wulff"
     assert set(man["artifacts"]) == {"wulff.json", "wulff_boundary.csv", "wulff.svg"}
+    assert man["python"].count(".") == 2 and man["numpy"] == np.__version__
+    assert isinstance(man["platform"], str) and man["platform"]
+    assert isinstance(man["cpu_count"], int) and man["cpu_count"] >= 1
 
 
 def test_threshold_command(tmp_path, euclid_json):
@@ -79,6 +82,7 @@ def test_solve_then_classify(tmp_path, euclid_json):
     assert report["converged"]
     assert report["energy"]["total"] == pytest.approx(
         report["energy"]["area"] + report["energy"]["fidelity"])
+    assert b"\r" not in (out / "profile.csv").read_bytes()
 
     out2 = tmp_path / "classify"
     rc = main(["classify", str(out / "profile.csv"), euclid_json,
@@ -155,6 +159,64 @@ def test_input_errors_exit_two(tmp_path, euclid_json):
                  "--quiet"]) == EXIT_INPUT
 
     assert main(["solve", str(tmp_path / "missing.json"), "--quiet"]) == EXIT_INPUT
+
+
+def test_artifacts_are_strict_json(tmp_path):
+    run = _Run("test", str(tmp_path), [], {}, quiet=True)
+    run.emit_json("numpy.json", {"scalar": np.float64(0.1), "array": np.arange(3.0)})
+    assert json.loads((tmp_path / "numpy.json").read_text()) == {
+        "scalar": 0.1, "array": [0.0, 1.0, 2.0]}
+    for bad in (math.nan, math.inf, np.float64(-math.inf)):
+        with pytest.raises(ValueError):
+            run.emit_json("bad.json", {"value": bad})
+
+
+@pytest.mark.parametrize("args", [
+    ["diagnose", "--radius", "nan"],
+    ["diagnose", "--radius", "inf"],
+    ["diagnose", "--tol", "nan"],
+    ["diagnose", "--tol", "inf"],
+    ["diagnose", "--tol", "-1"],
+    ["threshold", "--p", "1", "--length", "nan"],
+    ["threshold", "--p", "1", "--length", "inf"],
+], ids=["radius-nan", "radius-inf", "tol-nan", "tol-inf", "tol-negative", "length-nan",
+        "length-inf"])
+def test_non_finite_cli_number_exits_two_with_one_line(tmp_path, capsys, euclid_json, args):
+    command, *options = args
+    if command == "diagnose":
+        source = _write_json(tmp_path / "prob.json", _problem_payload(grid={"n": 16}))
+    else:
+        source = euclid_json
+    out = tmp_path / "out"
+    assert main([command, source, *options, "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "regularity_report.json").exists()
+    assert not (out / "threshold.json").exists()
+
+
+RASTER_ROWS = "1 0\n0 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    '{"box": [0, 1, 0, 1], "nx": 3, "ny": 2}\n1 x 0\n0 1 1\n',
+    '{"box": [0, 1, 0, 1], "nx": 3, "ny": 2}\n1 0 0\n2 1 1\n',
+    '{"box": [0, 1, 0, 1], "nx": 2.7, "ny": 2}\n' + RASTER_ROWS,
+    '{"box": [0, 1, 0, 1], "nx": 2, "ny": 2.0}\n' + RASTER_ROWS,
+    '{"box": [0, 1, 0, 1], "nx": true, "ny": 2}\n1\n0\n',
+    '{"box": [0, 1e999, 0, 1], "nx": 2, "ny": 2}\n' + RASTER_ROWS,
+    '{"box": [0, "1", 0, 1], "nx": 2, "ny": 2}\n' + RASTER_ROWS,
+    '{"box": [0, 1, 0, 1], "nx": 2, "ny": 2, "dx": 0.5}\n' + RASTER_ROWS,
+], ids=["cell-x", "cell-2", "nx-fraction", "ny-float", "nx-bool", "box-overflow",
+        "box-string", "unknown-key"])
+def test_malformed_raster_exits_two_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "set.raster"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["rearrange", str(path), "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "rearranged_profile.csv").exists()
 
 
 def test_divergence_exit_three(tmp_path, monkeypatch):

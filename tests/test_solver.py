@@ -17,7 +17,7 @@ from anisocurve import (
     solve,
 )
 from anisocurve.energy import energy_totals
-from anisocurve.solver import _solve_tridiagonal
+from anisocurve.solver import _lattice_minimum, _solve_tridiagonal
 from anisocurve import reference as ref
 from pdhg_reference import _prox_fidelity_many, _solve_pdhg, prox_fidelity
 
@@ -259,6 +259,23 @@ def test_oracle_below_sampled_closed_form():
     uc = ref.sample_profile(grid, ref.c11_minimizer, 0.05)
     ec = energy(EUCLID, uc, g, 1.0).total
     assert eo <= ec + 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("gauge", ["euclidean", "lp1", "square", "ellipse"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_lattice_minimum_matches_exhaustive_scan(n, gauge, p):
+    aniso = GAUGES[gauge]
+    rng = np.random.default_rng([n, len(gauge), int(2 * p)])
+    grid = Grid(-1, 1, n)
+    g = rng.uniform(-1, 1, n + 1)
+    axis = np.linspace(-1.0, 1.0, 21)
+    lattice = np.stack(np.meshgrid(*([axis] * (n + 1)), indexing="ij"), axis=-1).reshape(-1, n + 1)
+    scan_min = float(np.min(energy_totals(aniso, lattice, g, p, grid)))
+    vals = _lattice_minimum(aniso, grid, g, p, axis)
+    assert np.all(np.isin(vals, axis))
+    dp_energy = float(energy_totals(aniso, vals[None, :], g, p, grid)[0])
+    assert dp_energy == pytest.approx(scan_min, rel=1e-13, abs=1e-13)
 
 
 def test_solve_agrees_with_oracle_small_instances():

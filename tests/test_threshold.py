@@ -82,6 +82,14 @@ def test_lambda_hypothesis_violation():
         lambda_from_gamma(2.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("length", [math.nan, math.inf, -1.0, 0.0, None])
+def test_threshold_and_linf_check_need_a_finite_positive_length(length):
+    with pytest.raises(ValueError):
+        sigma_threshold(EUCLID, 1.0, length)
+    with pytest.raises(ValueError):
+        linf_hypothesis_check(EUCLID, 1.0, length, 0.0)
+
+
 # -- linf_hypothesis_check -----------------------------------------------
 
 
