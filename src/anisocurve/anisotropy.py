@@ -116,11 +116,15 @@ def positive_integer(value, name: str) -> int:
     return int(value)
 
 
-def reject_unknown_keys(descriptor: dict, allowed, name: str) -> None:
-    """ValueError naming every key of a JSON object that is not in allowed."""
-    unknown = sorted(set(descriptor) - set(allowed))
+def check_keys(descriptor: dict, required, name: str, optional=()) -> None:
+    """ValueError naming the JSON object ``name`` and its first missing required
+    key, or every key it has that is neither required nor optional."""
+    for key in required:
+        if key not in descriptor:
+            raise ValueError(f"{name}: missing key {key!r}")
+    unknown = sorted(set(descriptor) - set(required) - set(optional))
     if unknown:
-        raise ValueError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+        raise ValueError(f"{name}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def _max_abs_pairing(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -249,6 +253,11 @@ class Anisotropy:
         self._dual_rows = vertices[:half]
         self._poly_segments = (*vertices.T, *edges.T)  # start x, y; edge x, y
         self._poly_edge_len2 = np.einsum("ij,ij->i", edges, edges)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The vertices of a polygon gauge's Wulff shape, counterclockwise."""
+        return self._params["vertices"]
 
     # -- gauge evaluation --------------------------------------------
 
@@ -659,13 +668,15 @@ def anisotropy_from_json(descriptor) -> Anisotropy:
     """Build an anisotropy from its JSON descriptor (dict or JSON string)."""
     if isinstance(descriptor, str):
         descriptor = json.loads(descriptor)
-    if not isinstance(descriptor, dict) or "kind" not in descriptor:
-        raise AnisotropyError("anisotropy descriptor must be an object with a 'kind'")
+    if not isinstance(descriptor, dict):
+        raise AnisotropyError("anisotropy descriptor must be a JSON object")
+    if "kind" not in descriptor:
+        raise AnisotropyError("anisotropy: missing key 'kind'")
     kind = descriptor["kind"]
     fields = _JSON_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise AnisotropyError(f"unknown anisotropy kind {kind!r}")
-    reject_unknown_keys(descriptor, ("kind", *fields), f"{kind} anisotropy")
+    check_keys(descriptor, ("kind", *fields), f"{kind} anisotropy")
     if kind == "euclidean":
         return Anisotropy.euclidean()
     if kind == "ellipse":

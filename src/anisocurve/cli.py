@@ -27,7 +27,8 @@ from .classifier import cahn_hoffman
 from .energy import IngestionError, read_profile_csv, write_profile_csv, write_two_column_csv
 from .geometry import column_heights, read_raster, vertical_rearrangement, write_raster
 from .problem import load_problem
-from .regularity import lipschitz_report, refinement_study, tangent_ball_check
+from .regularity import (check_tangent_ball_options, lipschitz_report, refinement_study,
+                         tangent_ball_check)
 from .solver import SolverDivergenceError, solve
 from .svg import render_polylines
 from .threshold import sigma_threshold
@@ -179,6 +180,7 @@ def cmd_solve(args) -> int:
 
 def cmd_diagnose(args) -> int:
     problem = load_problem(args.problem)
+    check_tangent_ball_options(args.radius, args.tol)  # fail before the study runs
     run = _Run(
         "diagnose", args.out_dir, [args.problem],
         {**problem.to_json(), "levels": args.levels, "radius": args.radius, "tol": args.tol},

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anisotropy import Anisotropy, finite_number, positive_integer, reject_unknown_keys
+from .anisotropy import Anisotropy, check_keys, finite_number, positive_integer
 
 __all__ = [
     "Grid",
@@ -145,11 +145,14 @@ class GSpec:
 
     @classmethod
     def from_json(cls, descriptor: dict) -> "GSpec":
-        kind = descriptor.get("kind")
+        if "kind" not in descriptor:
+            raise IngestionError("datum: missing key 'kind'")
+        kind = descriptor["kind"]
         fields = _JSON_FIELDS.get(kind) if isinstance(kind, str) else None
         if fields is None:
             raise IngestionError(f"unknown g kind {kind!r}")
-        reject_unknown_keys(descriptor, ("kind", *fields), f"{kind} datum")
+        # every field is required but the csv interpolation
+        check_keys(descriptor, ("kind", *fields[:1]), f"{kind} datum", optional=fields[1:])
         if kind == "constant":
             return cls.constant(finite_number(descriptor["c"], "datum constant c"))
         if kind == "step":

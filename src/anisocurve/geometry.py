@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anisotropy import Anisotropy, finite_number, positive_integer, reject_unknown_keys
+from .anisotropy import Anisotropy, check_keys, finite_number, positive_integer
 
 __all__ = [
     "RasterSet",
@@ -124,7 +124,7 @@ def read_raster(path) -> RasterSet:
     header = json.loads(lines[0])
     if not isinstance(header, dict):
         raise ValueError(f"{path}: the header must be a JSON object")
-    reject_unknown_keys(header, ("box", "nx", "ny"), "raster header")
+    check_keys(header, ("box", "nx", "ny"), f"{path}: raster header")
     nx, ny = (positive_integer(header[key], f"raster {key}") for key in ("nx", "ny"))
     box = header["box"]
     if not isinstance(box, list) or len(box) != 4:

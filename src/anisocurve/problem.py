@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anisotropy import Anisotropy, anisotropy_from_json, finite_number, reject_unknown_keys
+from .anisotropy import Anisotropy, anisotropy_from_json, check_keys, finite_number
 from .energy import GSpec, Grid, check_fidelity_exponent
 from .solver import SolverConfig
 
@@ -41,8 +41,8 @@ def problem_from_json(descriptor: dict) -> Problem:
     """Build a problem from its JSON descriptor; ValueError on any malformed field."""
     if not isinstance(descriptor, dict):
         raise ValueError("problem descriptor must be a JSON object")
-    reject_unknown_keys(descriptor, ("anisotropy", "interval", "p", "g", "grid", "solver"),
-                        "problem")
+    check_keys(descriptor, ("anisotropy", "interval", "p", "g", "grid"), "problem",
+               optional=("solver",))
     parts = {key: descriptor[key] for key in ("anisotropy", "g", "grid")}
     parts["solver"] = descriptor.get("solver", {})
     for key, value in parts.items():
@@ -52,11 +52,11 @@ def problem_from_json(descriptor: dict) -> Problem:
     if not isinstance(interval, list) or len(interval) != 2:
         raise ValueError("problem 'interval' must be a list of two numbers")
     x_min, x_max = (finite_number(v, "interval bound") for v in interval)
-    reject_unknown_keys(parts["grid"], ("n",), "grid")
+    check_keys(parts["grid"], ("n",), "grid")
     grid = Grid(x_min, x_max, parts["grid"]["n"])
     p = finite_number(descriptor["p"], "p")
     check_fidelity_exponent(p)
-    reject_unknown_keys(parts["solver"], [f.name for f in fields(SolverConfig)], "solver")
+    check_keys(parts["solver"], (), "solver", optional=[f.name for f in fields(SolverConfig)])
     return Problem(
         aniso=anisotropy_from_json(parts["anisotropy"]),
         grid=grid,

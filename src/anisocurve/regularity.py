@@ -187,6 +187,14 @@ def _graph_obstacles(u: Profile) -> np.ndarray:
     return np.vstack(pts)
 
 
+def check_tangent_ball_options(r: float, tol: Optional[float]) -> None:
+    """ValueError unless r is finite and positive and tol is None or finite and nonnegative."""
+    if finite_number(r, "tangent ball radius") <= 0:
+        raise ValueError(f"tangent ball radius must be positive, got {r!r}")
+    if tol is not None and finite_number(tol, "tangent ball tolerance") < 0:
+        raise ValueError(f"tangent ball tolerance must be nonnegative, got {tol!r}")
+
+
 def tangent_ball_check(
     aniso: Anisotropy,
     u: Profile,
@@ -198,15 +206,12 @@ def tangent_ball_check(
     For each vertex, translated Wulff shapes of radius r are placed
     tangentially above and below along the vertex normal; the fraction
     of vertices whose ball avoids the graph (within tol, default 5h)
-    is reported per side.  r must be finite and positive, tol finite and
-    nonnegative.
+    is reported per side.  r and tol must pass
+    :func:`check_tangent_ball_options`.
     """
-    if finite_number(r, "tangent ball radius") <= 0:
-        raise ValueError(f"tangent ball radius must be positive, got {r!r}")
+    check_tangent_ball_options(r, tol)
     h = u.grid.h
-    tol = 5.0 * h if tol is None else finite_number(tol, "tangent ball tolerance")
-    if tol < 0:
-        raise ValueError(f"tangent ball tolerance must be nonnegative, got {tol!r}")
+    tol = 5.0 * h if tol is None else tol
     nodes = u.grid.nodes()
     vertices = np.column_stack([nodes, u.values])
     edge_nu = edge_unit_normals(u)

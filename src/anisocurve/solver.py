@@ -1,14 +1,25 @@
-"""Banded Newton solver for the discrete graph-area energy.
+"""Exact chain sweep and banded Newton solver for the discrete graph-area energy.
 
 The discrete problem
 
     min_u  E(u) = sum_i phi°(-(u_{i+1}-u_i), h) + sum_j w_j |u_j - g_j|^p
 
-has one term per edge, a convex function of one difference, so its
-Hessian is tridiagonal for every gauge.  :func:`solve` runs a damped
-Newton method on it: each step solves the tridiagonal system
-H d = -grad E in O(n) (cyclic reduction down to a Thomas sweep) and
-backtracks along d until the Armijo condition holds.
+has one term per edge, a convex function of one difference, and one
+term per node.  :func:`solve` picks the method from the input:
+
+- a polygon gauge with p = 1 or p = 2 takes :func:`_solve_chain`, an
+  exact dynamic-programming sweep along the chain.  Every term is then
+  piecewise linear or quadratic in one unknown or one difference, so
+  each message of the forward pass is a convex piecewise-linear
+  (p = 1) or piecewise-quadratic (p = 2) function, kept exactly, and a
+  backward pass reads the minimizer off them.  It has no iterations,
+  tolerance or smoothing; its report says ``iterations = 1``,
+  ``converged = True`` and ``final_stagnation = 0.0``.
+- every other input takes :func:`_solve_newton`.  The Hessian is
+  tridiagonal for every gauge, and a damped Newton method solves the
+  tridiagonal system H d = -grad E in O(n) per step (cyclic reduction
+  down to a Thomas sweep) and backtracks along d until the Armijo
+  condition holds.
 
 Newton needs second derivatives, so the nonsmooth pieces are smoothed
 with a relative width eps: |t|^p of the fidelity becomes
@@ -79,10 +90,11 @@ class SolverDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs.
+    """Knobs of the Newton method.
 
     ``max_iters`` caps the Newton steps of :func:`solve` and ``tol_rel``
-    bounds its final relative Newton decrement.
+    bounds its final relative Newton decrement.  Neither applies to the
+    exact sweep that polygon gauges take at p = 1 and p = 2.
     """
 
     max_iters: int = 200_000
@@ -111,7 +123,39 @@ def solve(
     p: float,
     cfg: Optional[SolverConfig] = None,
 ) -> SolveReport:
-    """Minimize the discrete energy by damped Newton steps from u = g.
+    """Minimize the discrete energy; the method depends on the input only.
+
+    A polygon gauge (``aniso.kind == "polygon"``, which includes lp(1)
+    and generic gauges) with p = 1 or p = 2 takes the exact chain sweep
+    of :func:`_solve_chain`.  It is one pass with no stopping rule, so
+    ``iterations`` is 1, ``converged`` is true, ``final_stagnation`` is
+    0, and ``cfg.max_iters`` and ``cfg.tol_rel`` do not apply.  Every
+    other input takes the damped Newton method of :func:`_solve_newton`,
+    whose report fields that method describes.
+
+    Either way the result is then polished: nodes within 1e-7 S of the
+    datum are put back on it, and the profile is truncated to the datum's
+    range, which is the maximum principle.  Each is kept unless it raises
+    the exact energy beyond rounding, which truncation can do under a
+    gauge that is not mirror-symmetric.  The reported energy is the exact
+    one, from :func:`anisocurve.energy.energy`.
+    ``dual_feasibility_max_violation`` is measured on the smoothed dual
+    field grad_w phi°_eps(-du, h) at the final smoothing width (the floor
+    for the exact sweep), which lies in the Wulff shape up to rounding.
+    """
+    check_fidelity_exponent(p)
+    g = np.asarray(g, dtype=float)
+    if g.shape != (grid.n_cells + 1,):
+        raise ValueError("datum samples must match the grid nodes")
+    if aniso.kind == "polygon" and p in (1.0, 2.0):
+        return _solve_chain(aniso, grid, g, p)
+    return _solve_newton(aniso, grid, g, p, cfg or SolverConfig())
+
+
+def _solve_newton(
+    aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float, cfg: SolverConfig = SolverConfig()
+) -> SolveReport:
+    """Damped Newton steps from u = g on the smoothed energy.
 
     Each step solves the tridiagonal Newton system of the smoothed energy
     (see the module docstring) and backtracks until the Armijo condition
@@ -124,21 +168,7 @@ def solve(
     ``iterations`` counts Newton systems solved (at most ``cfg.max_iters``;
     ``converged`` is false when the cap stops the solve) and
     ``final_stagnation`` holds the relative decrement of the last one.
-
-    The iterate is then polished: nodes within 1e-7 S of the datum are put
-    back on it, and the profile is truncated to the datum's range, which
-    is the maximum principle.  Each is kept unless it raises the exact
-    energy beyond rounding, which truncation can do under a gauge that is
-    not mirror-symmetric.  The reported energy is the exact one, from
-    :func:`anisocurve.energy.energy`.  ``dual_feasibility_max_violation``
-    is measured on the Newton dual field grad_w phi°_eps(-du, h), which
-    lies in the Wulff shape up to rounding.
     """
-    cfg = cfg or SolverConfig()
-    check_fidelity_exponent(p)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (grid.n_cells + 1,):
-        raise ValueError("datum samples must match the grid nodes")
     h = grid.h
     w = trapezoid_weights(grid)
     # the scale of u: the datum's range plus the interval length (for gauges
@@ -193,11 +223,142 @@ def solve(
             if at_floor:
                 break
             eps = max(eps * _EPS_FACTOR, _EPS_FLOOR)
+    return _polished_report(aniso, grid, g, p, u, iterations, converged, decrement, eps)
 
-    # Polish: put back on the datum the nodes that the smoothing left within
-    # _SNAP of it, then truncate to the datum's range (the maximum principle).
-    # Each is kept unless it raises the exact energy beyond rounding, as
-    # truncation can cost energy under a gauge that is not mirror-symmetric.
+
+def _solve_chain(aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float) -> SolveReport:
+    """The exact minimizer for a polygon gauge and p in {1, 2}, by one sweep.
+
+    Dynamic programming along the chain (Kolmogorov, Pock & Rolinek,
+    "Total variation on a tree", SIAM J. Imaging Sci. 9, 2016): the
+    message M_j(x) is the least energy of nodes 0..j with u_j = x, and
+
+        M_j(y) = w_j |y - g_j|^p + min_x [M_{j-1}(x) + psi(x - y)],
+
+    with psi(r) = phi°(r, h) convex and piecewise linear.  Each M_j is
+    convex, and its derivative is stored as a nondecreasing polyline of
+    points (x, M_j'(x)) with tails of slope 0 (p = 1) or 2 w_j (p = 2):
+    a staircase for p = 1, a continuous curve for p = 2.  The fidelity
+    step adds w_j sign(x - g_j), a jump of 2 w_j at g_j, or 2 w_j (x - g_j).
+    The edge step is the inf-convolution with psi(-.), whose slope levels
+    sigma_1 < ... < sigma_m and kinks tau_1 < ... < tau_{m-1} come from
+    :func:`_edge_envelope`: the part of the curve between its crossings of
+    sigma_i and sigma_{i+1} moves along x by tau_i, flat pieces at the
+    levels join the parts, and the curve is clipped to [sigma_1, sigma_m].
+    The first crossing X_i of every level is kept per node, and the
+    backward pass reads u_j from u_{j+1} in O(m):
+
+        u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})).
+
+    The work per node is linear in the length of the polyline, which
+    grows by at most 2 m points per node.
+    """
+    if not np.isfinite(g).all():
+        raise SolverDivergenceError(1)
+    levels, kinks = _edge_envelope(aniso.vertices, grid.h)
+    quadratic = p == 2.0
+    level_list, kink_list = levels.tolist(), kinks.tolist()
+    crossings = []  # per node, the first crossing of every level
+    x, lam, slope = g[:1].copy(), np.zeros(1), 0.0  # M' = 0 before node 0
+    for j, (gj, wj) in enumerate(zip(g.tolist(), trapezoid_weights(grid).tolist())):
+        if j:
+            # edge step: the part of the curve between the crossings of
+            # levels b and b + 1 is x[after[b]:before[b + 1]], moved by kink b
+            before = lam.searchsorted(levels, "left")
+            after = before if quadratic else lam.searchsorted(levels, "right")
+            lo = _level_crossings(x, lam, slope, levels, before)
+            hi = lo if quadratic else _level_crossings(x, lam, slope, levels, after)
+            crossings.append(lo)
+            xs, lams = [], []
+            for b, t in enumerate(kink_list):
+                start, end = hi[b] + t, lo[b + 1] + t
+                if math.isfinite(start):  # a level the curve never reaches has no flat
+                    xs.append([start])
+                    lams.append([level_list[b]])
+                xs.append(x[after[b]:before[b + 1]] + t)
+                lams.append(lam[after[b]:before[b + 1]])
+                if math.isfinite(end):
+                    xs.append([end])
+                    lams.append([level_list[b + 1]])
+            x, lam, slope = np.concatenate(xs), np.concatenate(lams), 0.0
+        if quadratic:
+            lam = lam + 2.0 * wj * (x - gj)
+            slope = 2.0 * wj
+            continue
+        s = int(x.searchsorted(gj))  # the first point at or right of g_j
+        v = float(lam[max(s - 1, 0)])  # M' just left of g_j: the staircase is flat there
+        if s < len(x) and x[s] == gj:  # lengthen the jump already at g_j
+            jump_x, jump_lam = [gj], [v - wj]
+        else:
+            jump_x, jump_lam = [gj, gj], [v - wj, v + wj]
+        x = np.concatenate([x[:s], jump_x, x[s:]])
+        lam = np.concatenate([lam[:s] - wj, jump_lam, lam[s:] + wj])
+    root = _level_crossings(x, lam, slope, np.zeros(1), lam.searchsorted([0.0]))
+    u = [float(root[0])]
+    for first in np.array(crossings[::-1]).tolist():
+        y = u[-1]
+        u.append(max(first[0], *(min(y - t, c) for t, c in zip(kink_list, first[1:]))))
+    return _polished_report(aniso, grid, g, p, np.array(u[::-1]), 1, True, 0.0, _EPS_FLOOR)
+
+
+def _edge_envelope(vertices: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slope levels and kinks of psi(-t), for psi(r) = phi°(r, h) = max_k <v_k, (r, h)>.
+
+    psi is the upper envelope of the vertex lines r -> v_x r + v_y h: a
+    stack over the lines sorted by slope keeps those that reach the top,
+    m <= K/2 + 1 of them for K vertices.  With slopes s_1 < ... < s_m and
+    kinks b_1 < ... < b_{m-1}, psi(-t) has slopes -s_m < ... < -s_1 and
+    kinks -b_{m-1} < ... < -b_1.
+    """
+    slopes, heights = [], []
+    for sx, sy in sorted(vertices.tolist()):  # by slope, then height
+        if slopes and sx == slopes[-1]:
+            del slopes[-1], heights[-1]
+        # drop the last line while it is nowhere strictly on top
+        while len(slopes) >= 2 and ((heights[-2] - sy) * (slopes[-1] - slopes[-2])
+                                    <= (heights[-2] - heights[-1]) * (sx - slopes[-2])):
+            del slopes[-1], heights[-1]
+        slopes.append(sx)
+        heights.append(sy)
+    s, c = np.array(slopes), np.array(heights)
+    kinks = h * (c[:-1] - c[1:]) / (s[1:] - s[:-1])
+    return -s[::-1], -kinks[::-1]
+
+
+def _level_crossings(
+    x: np.ndarray, lam: np.ndarray, slope: float, levels: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """Where the nondecreasing polyline (x, lam) reaches each level.
+
+    ``k`` is ``lam.searchsorted(levels, side)``.  With ``side="left"`` the
+    result is inf{x : M'(x) >= level}, with ``side="right"``
+    sup{x : M'(x) <= level}; they differ only on a flat piece at the
+    level.  Past the end points the curve continues with ``slope``.  A
+    flat tail (slope 0) marks the staircase of p = 1, which rises only
+    on vertical pieces: a level is reached at point k, or at -inf or +inf
+    if the curve never reaches it.
+    """
+    last = len(x) - 1
+    k1 = np.minimum(k, last)
+    if slope == 0.0:
+        out = x[k1]
+        out[k == 0] = -np.inf
+        out[k > last] = np.inf
+        return out
+    k0 = np.maximum(k - 1, 0)
+    rise = lam[k1] - lam[k0]
+    inner = rise > 0.0  # 0 < k <= last; at either end k0 == k1
+    tail = x[k1] + (levels - lam[k1]) / slope
+    run = (x[k1] - x[k0]) / np.where(inner, rise, 1.0)
+    return np.where(inner, x[k0] + (levels - lam[k0]) * run, tail)
+
+
+def _polished_report(aniso, grid, g, p, u, iterations, converged, stagnation, eps) -> SolveReport:
+    """The report of :func:`solve` for the iterate u, after the polish it describes."""
+    # Put back on the datum the nodes within _SNAP of it, then truncate to the
+    # datum's range (the maximum principle).  Each is kept unless it raises
+    # the exact energy beyond rounding, as truncation can cost energy under a
+    # gauge that is not mirror-symmetric.
     def polished(profile, report, values):
         candidate = Profile(grid, values)
         candidate_energy = energy(aniso, candidate, g, p)
@@ -205,6 +366,7 @@ def solve(
             return candidate, candidate_energy
         return profile, report
 
+    scale = float(np.ptp(g)) + grid.length
     profile = Profile(grid, u)
     report_energy = energy(aniso, profile, g, p)
     profile, report_energy = polished(
@@ -212,7 +374,7 @@ def solve(
     profile, report_energy = polished(
         profile, report_energy, np.clip(profile.values, g.min(), g.max()))
     values = profile.values
-    _, n1, _, n2 = aniso.smoothed_dual(values[:-1] - values[1:], h, eps)
+    _, n1, _, n2 = aniso.smoothed_dual(values[:-1] - values[1:], grid.h, eps)
     field = np.column_stack([n1, n2])
     violation = float(np.max(aniso.eval_many(field)) - 1.0) if len(field) else 0.0
     return SolveReport(
@@ -220,7 +382,7 @@ def solve(
         energy=report_energy,
         iterations=iterations,
         converged=converged,
-        final_stagnation=float(decrement),
+        final_stagnation=float(stagnation),
         dual_feasibility_max_violation=max(violation, 0.0),
     )
 

@@ -195,6 +195,25 @@ def test_non_finite_cli_number_exits_two_with_one_line(tmp_path, capsys, euclid_
     assert not (out / "threshold.json").exists()
 
 
+@pytest.mark.parametrize("options", [
+    ["--radius", "inf"], ["--radius", "nan"], ["--radius", "0"], ["--tol", "nan"],
+    ["--tol", "-1"],
+], ids=["radius-inf", "radius-nan", "radius-zero", "tol-nan", "tol-negative"])
+def test_diagnose_checks_its_options_before_the_study(tmp_path, capsys, monkeypatch, options):
+    import anisocurve.cli
+
+    calls = []
+    monkeypatch.setattr(anisocurve.cli, "refinement_study",
+                        lambda *args, **kwargs: calls.append(args))
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(grid={"n": 16}))
+    out = tmp_path / "out"
+    assert main(["diagnose", prob, *options, "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: tangent ball ") and err.count("\n") == 1
+    assert calls == []
+    assert not (out / "regularity_report.json").exists()
+
+
 RASTER_ROWS = "1 0\n0 1\n"
 
 
@@ -434,3 +453,55 @@ def test_any_unknown_key_exits_two_with_one_line(data, key, value):
             rc = main(["solve", prob, "--out-dir", str(Path(tmp) / "out"), "--quiet"])
     assert rc == EXIT_INPUT
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+MISSING_KEYS = [
+    ({}, ("anisotropy",), "problem: missing key 'anisotropy'"),
+    ({}, ("interval",), "problem: missing key 'interval'"),
+    ({}, ("p",), "problem: missing key 'p'"),
+    ({}, ("g",), "problem: missing key 'g'"),
+    ({}, ("grid",), "problem: missing key 'grid'"),
+    ({}, ("grid", "n"), "grid: missing key 'n'"),
+    ({}, ("anisotropy", "kind"), "anisotropy: missing key 'kind'"),
+    ({"anisotropy": {"kind": "ellipse", "a": 2.0, "b": 0.5}}, ("anisotropy", "a"),
+     "ellipse anisotropy: missing key 'a'"),
+    ({"anisotropy": {"kind": "ellipse", "a": 2.0, "b": 0.5}}, ("anisotropy", "b"),
+     "ellipse anisotropy: missing key 'b'"),
+    ({"anisotropy": {"kind": "lp", "q": 3.0}}, ("anisotropy", "q"),
+     "lp anisotropy: missing key 'q'"),
+    ({"anisotropy": {"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}},
+     ("anisotropy", "vertices"), "polygon anisotropy: missing key 'vertices'"),
+    ({}, ("g", "kind"), "datum: missing key 'kind'"),
+    ({}, ("g", "a"), "step datum: missing key 'a'"),
+    ({"g": {"kind": "constant", "c": 0.1}}, ("g", "c"), "constant datum: missing key 'c'"),
+    ({"g": {"kind": "csv", "path": "g.csv"}}, ("g", "path"), "csv datum: missing key 'path'"),
+]
+
+
+@pytest.mark.parametrize("overrides,drop,message", MISSING_KEYS,
+                         ids=["-".join(drop) for _, drop, _ in MISSING_KEYS])
+def test_missing_problem_key_exits_two_naming_key_and_object(tmp_path, capsys, overrides, drop,
+                                                             message):
+    payload = _problem_payload(**copy.deepcopy(overrides))
+    *parents, last = drop
+    node = payload
+    for key in parents:
+        node = node[key]
+    del node[last]
+    prob = _write_json(tmp_path / "prob.json", payload)
+    out = tmp_path / "out"
+    assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "solve_report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["box", "nx", "ny"])
+def test_missing_raster_header_key_exits_two_naming_it(tmp_path, capsys, key):
+    header = {"box": [0, 1, 0, 1], "nx": 2, "ny": 2}
+    del header[key]
+    path = tmp_path / "set.raster"
+    path.write_text(json.dumps(header) + "\n" + RASTER_ROWS)
+    out = tmp_path / "out"
+    assert main(["rearrange", str(path), "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: raster header: missing key {key!r}\n"
+    assert not (out / "rearranged_profile.csv").exists()

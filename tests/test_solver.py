@@ -1,4 +1,4 @@
-"""Newton solver and brute-force oracle tests; the PDHG reference and its prox."""
+"""Newton solver, exact chain sweep and brute-force oracle tests; the PDHG reference and its prox."""
 
 import dataclasses
 
@@ -17,7 +17,7 @@ from anisocurve import (
     solve,
 )
 from anisocurve.energy import energy_totals
-from anisocurve.solver import _lattice_minimum, _solve_tridiagonal
+from anisocurve.solver import _lattice_minimum, _solve_chain, _solve_newton, _solve_tridiagonal
 from anisocurve import reference as ref
 from pdhg_reference import _prox_fidelity_many, _solve_pdhg, prox_fidelity
 
@@ -35,6 +35,7 @@ GAUGES = {
     "square": SQUARE,
     "hexagon": HEXAGON,
 }
+POLYGONS = ["square", "lp1", "hexagon"]
 
 
 def _fuzz(rng, n):
@@ -370,3 +371,128 @@ def test_newton_final_step_is_converged_to_rounding():
         bumped[j] -= 2 * step
         down = energy(aniso, Profile(grid, bumped), g, 2.0).total
         assert abs(up - down) / (2 * step) <= 1e-6
+
+
+# -- exact chain sweep --------------------------------------------------
+
+
+def _polygon_sweep_cases(rng):
+    """Step 0.3, fuzz and step-2 data on grids of 16 to 128 cells."""
+    cases = []
+    for n in (16, int(rng.integers(17, 128)), 128):
+        grid = Grid(-1, 1, n)
+        cases += [(grid, GSpec.step(0.3).sample(grid)), (grid, _fuzz(rng, n)),
+                  (grid, GSpec.step(2.0).sample(grid))]
+    return cases
+
+
+@pytest.mark.parametrize("gauge", POLYGONS)
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_chain_energy_not_above_newton(gauge, p):
+    aniso = GAUGES[gauge]
+    for grid, g in _polygon_sweep_cases(np.random.default_rng([len(gauge), int(p)])):
+        exact = solve(aniso, grid, g, p)
+        newton = _solve_newton(aniso, grid, g, p)
+        assert newton.converged and newton.iterations > 1
+        assert exact.energy.total <= newton.energy.total + 1e-9 * (1.0 + newton.energy.total)
+
+
+@pytest.mark.parametrize("gauge", POLYGONS)
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_chain_energy_not_above_the_lattice_bound(gauge, p):
+    # the least energy over 401 levels per node bounds the minimum from above,
+    # whatever the solver
+    aniso = GAUGES[gauge]
+    rng = np.random.default_rng([7, len(gauge), int(p)])
+    grid = Grid(-1, 1, 64)
+    for g in (rng.uniform(-1, 1, 65), _fuzz(rng, 64)):
+        bound = float(np.max(np.abs(g)))
+        lattice = _lattice_minimum(aniso, grid, g, p, np.linspace(-bound, bound, 401))
+        e_lattice = energy(aniso, Profile(grid, lattice), g, p).total
+        e_exact = solve(aniso, grid, g, p).energy.total
+        assert e_exact <= e_lattice + 1e-12 * (1.0 + e_lattice)
+
+
+def test_chain_agrees_with_oracle_small_instances():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for k in range(12):
+        n = int(rng.integers(1, 5))
+        aniso = (SQUARE, HEXAGON)[k % 2]
+        p = (1.0, 1.0, 2.0)[k % 3]
+        grid = Grid(-1, 1, n)
+        g = rng.uniform(-1, 1, n + 1)
+        o = brute_force_oracle(aniso, grid, g, p)
+        eo = float(energy_totals(aniso, o.values[None, :], g, p, grid)[0])
+        rep = solve(aniso, grid, g, p)
+        assert rep.energy.total <= eo + 1e-9 * (1.0 + eo)
+        # the oracle searches [-|g|_inf, |g|_inf] only, which the hexagon's
+        # minimizer can leave (see the maximum principle test below)
+        if np.max(np.abs(rep.profile.values)) <= np.max(np.abs(g)):
+            checked += 1
+            assert rep.energy.total >= eo - 1e-9 * (1.0 + eo)
+    assert checked >= 8
+
+
+def test_chain_is_bitwise_deterministic_and_reports_one_sweep():
+    grid = Grid(-1, 1, 96)
+    g = _fuzz(np.random.default_rng(9), 96)
+    for aniso in (SQUARE, HEXAGON):
+        for p in (1.0, 2.0):
+            r1, r2 = solve(aniso, grid, g, p), solve(aniso, grid, g, p)
+            np.testing.assert_array_equal(r1.profile.values, r2.profile.values)
+            assert r1.energy == r2.energy
+            assert (r1.iterations, r1.converged, r1.final_stagnation) == (1, True, 0.0)
+            assert r1.dual_feasibility_max_violation <= 1e-12
+
+
+def test_solve_routes_polygons_at_p_one_and_two_to_the_chain():
+    grid = Grid(-1, 1, 40)
+    g = GSpec.step(0.3).sample(grid)
+    for p in (1.0, 2.0):
+        exact = _solve_chain(SQUARE, grid, g, p)
+        # the Newton step cap does not apply to the sweep
+        routed = solve(SQUARE, grid, g, p, SolverConfig(max_iters=1))
+        np.testing.assert_array_equal(routed.profile.values, exact.profile.values)
+        assert routed.converged
+    assert solve(SQUARE, grid, g, 1.5).iterations > 1
+    assert solve(EUCLID, grid, g, 1.0).iterations > 1
+
+
+def test_chain_divergence_on_nonfinite_datum():
+    grid = Grid(-1, 1, 8)
+    for bad in (np.nan, np.inf):
+        g = np.zeros(9)
+        g[4] = bad
+        for p in (1.0, 2.0):
+            with pytest.raises(SolverDivergenceError) as excinfo:
+                solve(SQUARE, grid, g, p)
+            assert excinfo.value.iteration == 1
+
+
+def test_chain_maximum_principle_under_the_hexagon():
+    # The hexagon is not mirror-symmetric: phi°(r, h) is least at r != 0, so
+    # truncating to the datum's range can raise the energy, and the minimizer
+    # then overshoots the range (step 0.3 by 0.03, at p = 1 and 2).  The sweep
+    # must truncate wherever that is free and overshoot exactly as far as
+    # Newton's minimizer does elsewhere.
+    rng = np.random.default_rng(6)
+    cases = [(Grid(-1, 1, n), GSpec.step(a).sample(Grid(-1, 1, n)), p)
+             for n in (16, 64) for a in (0.05, 0.3, 2.0) for p in (1.0, 2.0)]
+    for k in range(8):
+        n = int(rng.integers(16, 129))
+        cases.append((Grid(-1, 1, n), _fuzz(rng, n), (1.0, 2.0)[k % 2]))
+    inside = 0
+    for grid, g, p in cases:
+        rep = solve(HEXAGON, grid, g, p)
+        u = rep.profile.values
+        newton = _solve_newton(HEXAGON, grid, g, p).profile.values
+        excess = max(g.min() - u.min(), u.max() - g.max(), 0.0)
+        newton_excess = max(g.min() - newton.min(), newton.max() - g.max(), 0.0)
+        assert excess == pytest.approx(newton_excess, abs=1e-6)
+        if excess == 0.0:
+            inside += 1
+            continue
+        truncated = energy(HEXAGON, Profile(grid, np.clip(u, g.min(), g.max())), g, p).total
+        assert truncated > rep.energy.total + 1e-6
+    assert inside >= len(cases) // 2
