@@ -1,10 +1,10 @@
 """One-dimensional anisotropic prescribed-curvature variational problems.
 
 Gauges and Wulff-shape geometry, the discrete graph-area energy with
-L^p fidelity, an exact chain sweep (polygon gauges, p = 1 and 2) and a
-banded Newton solver, explicit regularity thresholds, regularity
-diagnostics, local-minimizer classification and vertical rearrangement
-machinery.
+L^p fidelity, an exact chain sweep (polygon gauges; proximal Newton
+steps for p other than 1 and 2) and a banded Newton solver, explicit
+regularity thresholds, regularity diagnostics, local-minimizer
+classification and vertical rearrangement machinery.
 """
 
 __version__ = "0.1.0"

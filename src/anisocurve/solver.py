@@ -7,29 +7,34 @@ The discrete problem
 has one term per edge, a convex function of one difference, and one
 term per node.  :func:`solve` picks the method from the input:
 
-- a polygon gauge with p = 1 or p = 2 takes :func:`_solve_chain`, an
-  exact dynamic-programming sweep along the chain.  Every term is then
-  piecewise linear or quadratic in one unknown or one difference, so
-  each message of the forward pass is a convex piecewise-linear
-  (p = 1) or piecewise-quadratic (p = 2) function, kept exactly, and a
-  backward pass reads the minimizer off them.  It has no iterations,
-  tolerance or smoothing; its report says ``iterations = 1``,
-  ``converged = True`` and ``final_stagnation = 0.0``.
+- a polygon gauge takes :func:`_solve_chain`, built on an exact
+  dynamic-programming sweep along the chain (:func:`_chain_sweep`).
+  With a piecewise-linear edge term and a fidelity that is linear or
+  quadratic in each unknown, each message of the forward pass is a
+  convex piecewise-linear or piecewise-quadratic function, kept
+  exactly, and a backward pass reads the minimizer off them.  At p = 1
+  and p = 2 one sweep solves the problem: no iterations, tolerance or
+  smoothing, and the report says ``iterations = 1``,
+  ``converged = True`` and ``final_stagnation = 0.0``.  At any other p
+  each step of a proximal Newton method replaces the fidelity by its
+  quadratic model and sweeps that model plus the exact edge terms.
 - every other input takes :func:`_solve_newton`.  The Hessian is
   tridiagonal for every gauge, and a damped Newton method solves the
   tridiagonal system H d = -grad E in O(n) per step (cyclic reduction
   down to a Thomas sweep) and backtracks along d until the Armijo
   condition holds.
 
-Newton needs second derivatives, so the nonsmooth pieces are smoothed
-with a relative width eps: |t|^p of the fidelity becomes
-(t^2 + (eps S)^2)^(p/2) for p < 2, with S the datum's range plus the
-interval length, and the gauge term uses
-:meth:`Anisotropy.smoothed_dual` at width eps h (a log-sum-exp for
-polygon gauges, a smoothed |r|^q' for lp(q > 2)).
-eps starts at 1e-2 and shrinks five-fold each time Newton settles, down
-to a fixed floor of 1e-10 (continuation); problems with no nonsmooth
-piece start at the floor.  Every smoothed term is an upper bound of the
+Both iterative methods need second derivatives, so the nonsmooth pieces
+are smoothed with a relative width eps: |t|^p of the fidelity becomes
+(t^2 + (eps S)^2)^(p/2), with S the datum's range plus the interval
+length, for p < 2 (Newton) or every p other than 1 and 2 (the chain),
+and Newton's gauge term uses :meth:`Anisotropy.smoothed_dual` at width
+eps h (a log-sum-exp for polygon gauges, a smoothed |r|^q' for
+lp(q > 2)).  The chain never smooths the gauge.
+eps starts at 1e-2 and shrinks each time the iteration settles (five-fold
+for Newton, a thousandfold for the chain), down to a fixed floor of 1e-10
+(continuation); Newton problems with no nonsmooth piece start at the
+floor.  Every smoothed term is an upper bound of the
 exact one; at the floor the excess is at most about 1e-10 (S + h log K)
 per unit length for a K-vertex polygon.  The floor is not lower because
 the energy changes across a smoothed kink, about eps h, must stay well
@@ -41,6 +46,7 @@ puts them back.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -62,10 +68,13 @@ __all__ = [
 
 # Smoothing continuation of the Newton solver: eps starts at _EPS_START and is
 # multiplied by _EPS_FACTOR once the relative Newton decrement drops below
-# _STAGE_TOL * eps, until it reaches _EPS_FLOOR.
+# _STAGE_TOL * eps, until it reaches _EPS_FLOOR.  The proximal Newton method
+# of the chain multiplies by _CHAIN_EPS_FACTOR instead: each stage costs at
+# least one sweep, and with exact edge terms a coarser schedule loses nothing.
 _EPS_START = 1e-2
 _EPS_FLOOR = 1e-10
 _EPS_FACTOR = 0.2
+_CHAIN_EPS_FACTOR = 1e-3
 _STAGE_TOL = 1e-2
 _ARMIJO = 0.25  # sufficient-decrease fraction of the backtracking line search
 # relative diagonal shift that keeps the Hessian definite where the smoothed
@@ -90,11 +99,12 @@ class SolverDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the Newton method.
+    """Knobs of the iterative methods.
 
-    ``max_iters`` caps the Newton steps of :func:`solve` and ``tol_rel``
-    bounds its final relative Newton decrement.  Neither applies to the
-    exact sweep that polygon gauges take at p = 1 and p = 2.
+    ``max_iters`` caps the Newton steps of :func:`solve`, or its chain
+    sweeps on a polygon gauge, and ``tol_rel`` bounds the final relative
+    decrement of either.  Neither applies at p = 1 and p = 2 on a polygon
+    gauge, where a single sweep is exact.
     """
 
     max_iters: int = 200_000
@@ -114,6 +124,9 @@ class SolveReport:
     converged: bool
     final_stagnation: float
     dual_feasibility_max_violation: float
+    # the method :func:`solve` chose, "chain" or "newton"; a report built
+    # elsewhere may leave it empty
+    method: str = ""
 
 
 def solve(
@@ -126,12 +139,14 @@ def solve(
     """Minimize the discrete energy; the method depends on the input only.
 
     A polygon gauge (``aniso.kind == "polygon"``, which includes lp(1)
-    and generic gauges) with p = 1 or p = 2 takes the exact chain sweep
-    of :func:`_solve_chain`.  It is one pass with no stopping rule, so
-    ``iterations`` is 1, ``converged`` is true, ``final_stagnation`` is
-    0, and ``cfg.max_iters`` and ``cfg.tol_rel`` do not apply.  Every
-    other input takes the damped Newton method of :func:`_solve_newton`,
-    whose report fields that method describes.
+    and generic gauges) takes :func:`_solve_chain`, and ``method`` in the
+    report is ``"chain"``.  At p = 1 and p = 2 that is one exact sweep with
+    no stopping rule, so ``iterations`` is 1, ``converged`` is true,
+    ``final_stagnation`` is 0, and ``cfg.max_iters`` and ``cfg.tol_rel``
+    do not apply; at any other p it is a proximal Newton method whose
+    ``iterations`` count sweeps.  Every other input takes the damped
+    Newton method of :func:`_solve_newton` (``method`` ``"newton"``).
+    Each function describes its report fields.
 
     Either way the result is then polished: nodes within 1e-7 S of the
     datum are put back on it, and the profile is truncated to the datum's
@@ -147,8 +162,8 @@ def solve(
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.n_cells + 1,):
         raise ValueError("datum samples must match the grid nodes")
-    if aniso.kind == "polygon" and p in (1.0, 2.0):
-        return _solve_chain(aniso, grid, g, p)
+    if aniso.kind == "polygon":
+        return _solve_chain(aniso, grid, g, p, cfg or SolverConfig())
     return _solve_newton(aniso, grid, g, p, cfg or SolverConfig())
 
 
@@ -223,92 +238,199 @@ def _solve_newton(
             if at_floor:
                 break
             eps = max(eps * _EPS_FACTOR, _EPS_FLOOR)
-    return _polished_report(aniso, grid, g, p, u, iterations, converged, decrement, eps)
+    return _polished_report(aniso, grid, g, p, u, iterations, converged, decrement, eps,
+                            "newton")
 
 
-def _solve_chain(aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float) -> SolveReport:
-    """The exact minimizer for a polygon gauge and p in {1, 2}, by one sweep.
+def _solve_chain(
+    aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float, cfg: SolverConfig = SolverConfig()
+) -> SolveReport:
+    """Minimize for a polygon gauge by exact chain sweeps (:func:`_chain_sweep`).
+
+    At p = 1 and p = 2 every term is piecewise linear or quadratic, so one
+    sweep with the datum as centres and the trapezoid weights gives the
+    exact minimizer: ``iterations = 1``, ``converged`` true and
+    ``final_stagnation = 0``.
+
+    At any other p the sweep is the subproblem of a proximal Newton method
+    (Lee, Sun & Saunders, "Proximal Newton-type methods for minimizing
+    composite functions", SIAM J. Optim. 24, 2014).  Only the fidelity is
+    smoothed, to (t^2 + (eps S)^2)^(p/2) with S the datum's range plus the
+    interval length; the edge terms stay exact.  Each step replaces the
+    smoothed fidelity F by its second-order model at u, the weighted
+    quadratic sum_j W_j (x_j - c_j)^2 + const with W_j = w_j f''_j / 2
+    and c_j = u_j - f'_j / f''_j, and one sweep minimizes that model plus
+    the exact edge terms psi.  The step d = u_hat - u is backtracked until
+    the Armijo condition on the model decrement
+
+        delta = grad F . d + psi(u + d) - psi(u) < 0
+
+    holds.  -delta / (2 (1 + |E|)) plays the part of Newton's decrement in
+    the continuation and stopping rule of :func:`_solve_newton`: a
+    smoothing stage ends once it is at most 1e-2 eps, and the solve
+    converges once, at the smoothing floor, it is at most ``cfg.tol_rel``.
+    eps starts at 1e-2 as for Newton but shrinks a thousandfold per stage.
+    ``iterations`` counts sweeps, at most ``cfg.max_iters``, and
+    ``final_stagnation`` is the last relative decrement.
+    """
+    if not np.isfinite(g).all():
+        raise SolverDivergenceError(1)
+    levels, kinks, tops = _edge_envelope(aniso.vertices, grid.h)
+    w = trapezoid_weights(grid)
+    if p in (1.0, 2.0):
+        u = _chain_sweep(levels, kinks, g, w, p == 2.0)
+        return _polished_report(aniso, grid, g, p, u, 1, True, 0.0, _EPS_FLOOR, "chain")
+    scale = float(np.ptp(g)) + grid.length
+    # a model curvature floor, relative to the edge terms' slope per unit of u;
+    # it keeps the sweep finite where f'' vanishes to rounding (large p)
+    ridge = _RIDGE * float(np.abs(levels).max()) / scale
+
+    def edges(u: np.ndarray) -> float:
+        # psi(-t) for t = u_{i+1} - u_i: linear between the kinks, and along
+        # the first and last slope beyond them
+        t = np.diff(u)
+        ends = np.maximum(tops[0] + levels[0] * (t - kinks[0]),
+                          tops[-1] + levels[-1] * (t - kinks[-1]))
+        return float(np.maximum(np.interp(t, kinks, tops), ends).sum())
+
+    def fidelity(u: np.ndarray, eps: float):
+        fid, dfid, ddfid = _smoothed_power(u - g, p, eps * scale)
+        return float(w @ fid), w * dfid, w * ddfid
+
+    u = g.copy()
+    eps = _EPS_START
+    iterations = 0
+    converged = False
+    decrement = math.inf
+    while iterations < cfg.max_iters:
+        iterations += 1
+        fid, grad, curv = fidelity(u, eps)
+        area = edges(u)
+        value = area + fid
+        weights = 0.5 * curv + ridge
+        d = _chain_sweep(levels, kinks, u - 0.5 * grad / weights, weights, True) - u
+        if not np.isfinite(d).all():
+            raise SolverDivergenceError(iterations)
+        gain = max(0.0, area - edges(u + d) - float(grad @ d))  # -delta, see above
+        decrement = gain / (2.0 * (1.0 + abs(value)))
+        # backtracking line search for the Armijo condition, given up once the
+        # decrease it asks for is below the rounding of the energy
+        t = 1.0
+        moved = False
+        while not moved and value - _ARMIJO * t * gain < value:
+            trial = u + t * d
+            new = edges(trial) + fidelity(trial, eps)[0]
+            moved = new < value and new <= value - _ARMIJO * t * gain
+            t *= 0.5
+        if moved:
+            u = trial
+        at_floor = eps <= _EPS_FLOOR
+        if at_floor and decrement <= cfg.tol_rel:
+            converged = True
+            break
+        if not at_floor and (not moved or decrement <= max(cfg.tol_rel, _STAGE_TOL * eps)):
+            eps = max(eps * _CHAIN_EPS_FACTOR, _EPS_FLOOR)
+        elif not moved:  # no representable decrease left at the floor
+            break
+    return _polished_report(aniso, grid, g, p, u, iterations, converged, decrement, _EPS_FLOOR,
+                            "chain")
+
+
+def _chain_sweep(
+    levels: np.ndarray, kinks: np.ndarray, centres: np.ndarray, weights: np.ndarray,
+    quadratic: bool,
+) -> np.ndarray:
+    """The exact minimizer of sum_j W_j |u_j - c_j|^q + sum_i psi(u_i - u_{i+1}), q = 1 or 2.
 
     Dynamic programming along the chain (Kolmogorov, Pock & Rolinek,
     "Total variation on a tree", SIAM J. Imaging Sci. 9, 2016): the
     message M_j(x) is the least energy of nodes 0..j with u_j = x, and
 
-        M_j(y) = w_j |y - g_j|^p + min_x [M_{j-1}(x) + psi(x - y)],
+        M_j(y) = W_j |y - c_j|^q + min_x [M_{j-1}(x) + psi(x - y)],
 
-    with psi(r) = phi°(r, h) convex and piecewise linear.  Each M_j is
+    with psi(r) = phi°(r, h) convex and piecewise linear, given by the
+    ``levels`` and ``kinks`` of :func:`_edge_envelope`.  Each M_j is
     convex, and its derivative is stored as a nondecreasing polyline of
-    points (x, M_j'(x)) with tails of slope 0 (p = 1) or 2 w_j (p = 2):
-    a staircase for p = 1, a continuous curve for p = 2.  The fidelity
-    step adds w_j sign(x - g_j), a jump of 2 w_j at g_j, or 2 w_j (x - g_j).
+    points (x, M_j'(x)) with tails of slope 0 (q = 1) or 2 W_j (q = 2):
+    a staircase for q = 1, a continuous curve for q = 2.  The fidelity
+    step adds W_j sign(x - c_j), a jump of 2 W_j at c_j, or 2 W_j (x - c_j).
     The edge step is the inf-convolution with psi(-.), whose slope levels
     sigma_1 < ... < sigma_m and kinks tau_1 < ... < tau_{m-1} come from
     :func:`_edge_envelope`: the part of the curve between its crossings of
     sigma_i and sigma_{i+1} moves along x by tau_i, flat pieces at the
     levels join the parts, and the curve is clipped to [sigma_1, sigma_m].
     The first crossing X_i of every level is kept per node, and the
-    backward pass reads u_j from u_{j+1} in O(m):
+    backward pass reads u_j from u_{j+1} by a bisection over the levels:
 
         u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})).
 
-    The work per node is linear in the length of the polyline, which
-    grows by at most 2 m points per node.
+    Each node's edge step is a fixed number of whole-array operations on
+    the polyline, which grows by at most 2 m points per node.
     """
-    if not np.isfinite(g).all():
-        raise SolverDivergenceError(1)
-    levels, kinks = _edge_envelope(aniso.vertices, grid.h)
-    quadratic = p == 2.0
-    level_list, kink_list = levels.tolist(), kinks.tolist()
+    flat_levels = np.concatenate([levels[1:], levels[:-1]])
+    flat_kinks = np.concatenate([kinks, kinks])
     crossings = []  # per node, the first crossing of every level
-    x, lam, slope = g[:1].copy(), np.zeros(1), 0.0  # M' = 0 before node 0
-    for j, (gj, wj) in enumerate(zip(g.tolist(), trapezoid_weights(grid).tolist())):
+    x, lam, slope = centres[:1].copy(), np.zeros(1), 0.0  # M' = 0 before node 0
+    for j, (cj, wj) in enumerate(zip(centres.tolist(), weights.tolist())):
         if j:
-            # edge step: the part of the curve between the crossings of
-            # levels b and b + 1 is x[after[b]:before[b + 1]], moved by kink b
+            # edge step: part b of the curve, between the crossings of levels
+            # b and b + 1, is x[after[b]:before[b + 1]] and moves by kink b; a
+            # staircase drops its points at a level in between, on a flat
             before = lam.searchsorted(levels, "left")
             after = before if quadratic else lam.searchsorted(levels, "right")
             lo = _level_crossings(x, lam, slope, levels, before)
             hi = lo if quadratic else _level_crossings(x, lam, slope, levels, after)
             crossings.append(lo)
-            xs, lams = [], []
-            for b, t in enumerate(kink_list):
-                start, end = hi[b] + t, lo[b + 1] + t
-                if math.isfinite(start):  # a level the curve never reaches has no flat
-                    xs.append([start])
-                    lams.append([level_list[b]])
-                xs.append(x[after[b]:before[b + 1]] + t)
-                lams.append(lam[after[b]:before[b + 1]])
-                if math.isfinite(end):
-                    xs.append([end])
-                    lams.append([level_list[b + 1]])
-            x, lam, slope = np.concatenate(xs), np.concatenate(lams), 0.0
+            body_x, body_lam = x[after[0]:before[-1]], lam[after[0]:before[-1]]
+            if not quadratic:
+                keep = levels[levels.searchsorted(body_lam)] != body_lam
+                body_x, body_lam = body_x[keep], body_lam[keep]
+            # the flats join the parts: the end of part b at level b + 1 and
+            # its start at level b, unless the curve never reaches the level
+            flat_x = np.concatenate([lo[1:], hi[:-1]]) + flat_kinks
+            reached = np.isfinite(flat_x)
+            x = np.concatenate([flat_x[reached],
+                                body_x + np.repeat(kinks, before[1:] - after[:-1])])
+            lam = np.concatenate([flat_levels[reached], body_lam])
+            order = np.lexsort((x, lam))  # the parts in order along x, each between its flats
+            x, lam, slope = x[order], lam[order], 0.0
         if quadratic:
-            lam = lam + 2.0 * wj * (x - gj)
+            lam = lam + 2.0 * wj * (x - cj)
             slope = 2.0 * wj
             continue
-        s = int(x.searchsorted(gj))  # the first point at or right of g_j
-        v = float(lam[max(s - 1, 0)])  # M' just left of g_j: the staircase is flat there
-        if s < len(x) and x[s] == gj:  # lengthen the jump already at g_j
-            jump_x, jump_lam = [gj], [v - wj]
+        s = int(x.searchsorted(cj))  # the first point at or right of c_j
+        v = float(lam[max(s - 1, 0)])  # M' just left of c_j: the staircase is flat there
+        if s < len(x) and x[s] == cj:  # lengthen the jump already at c_j
+            jump_x, jump_lam = [cj], [v - wj]
         else:
-            jump_x, jump_lam = [gj, gj], [v - wj, v + wj]
+            jump_x, jump_lam = [cj, cj], [v - wj, v + wj]
         x = np.concatenate([x[:s], jump_x, x[s:]])
         lam = np.concatenate([lam[:s] - wj, jump_lam, lam[s:] + wj])
+    # backward pass: in u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})) the
+    # first argument of min falls with i and the second rises, so the inner
+    # max sits where X_{i+1} + tau_i crosses u_{j+1}; two places either side
+    # of that crossing also cover rounding
     root = _level_crossings(x, lam, slope, np.zeros(1), lam.searchsorted([0.0]))
     u = [float(root[0])]
-    for first in np.array(crossings[::-1]).tolist():
+    first = np.array(crossings[::-1])  # a grid has at least one edge
+    kink_list = kinks.tolist()
+    for row, meets in zip(first.tolist(), (first[:, 1:] + kinks).tolist()):
         y = u[-1]
-        u.append(max(first[0], *(min(y - t, c) for t, c in zip(kink_list, first[1:]))))
-    return _polished_report(aniso, grid, g, p, np.array(u[::-1]), 1, True, 0.0, _EPS_FLOOR)
+        k = bisect.bisect_left(meets, y)
+        u.append(max(row[0], *(min(y - kink_list[i], row[i + 1])
+                               for i in range(max(k - 2, 0), min(k + 2, len(meets))))))
+    return np.array(u[::-1])
 
 
-def _edge_envelope(vertices: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _edge_envelope(vertices: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slope levels and kinks of psi(-t), for psi(r) = phi°(r, h) = max_k <v_k, (r, h)>.
 
     psi is the upper envelope of the vertex lines r -> v_x r + v_y h: a
     stack over the lines sorted by slope keeps those that reach the top,
     m <= K/2 + 1 of them for K vertices.  With slopes s_1 < ... < s_m and
     kinks b_1 < ... < b_{m-1}, psi(-t) has slopes -s_m < ... < -s_1 and
-    kinks -b_{m-1} < ... < -b_1.
+    kinks -b_{m-1} < ... < -b_1.  The third result is psi(-t) at those
+    kinks, so the three give psi(-t) for every t.
     """
     slopes, heights = [], []
     for sx, sy in sorted(vertices.tolist()):  # by slope, then height
@@ -322,7 +444,7 @@ def _edge_envelope(vertices: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarr
         heights.append(sy)
     s, c = np.array(slopes), np.array(heights)
     kinks = h * (c[:-1] - c[1:]) / (s[1:] - s[:-1])
-    return -s[::-1], -kinks[::-1]
+    return -s[::-1], -kinks[::-1], (s[:-1] * kinks + h * c[:-1])[::-1]
 
 
 def _level_crossings(
@@ -353,7 +475,9 @@ def _level_crossings(
     return np.where(inner, x[k0] + (levels - lam[k0]) * run, tail)
 
 
-def _polished_report(aniso, grid, g, p, u, iterations, converged, stagnation, eps) -> SolveReport:
+def _polished_report(
+    aniso, grid, g, p, u, iterations, converged, stagnation, eps, method
+) -> SolveReport:
     """The report of :func:`solve` for the iterate u, after the polish it describes."""
     # Put back on the datum the nodes within _SNAP of it, then truncate to the
     # datum's range (the maximum principle).  Each is kept unless it raises
@@ -384,18 +508,27 @@ def _polished_report(aniso, grid, g, p, u, iterations, converged, stagnation, ep
         converged=converged,
         final_stagnation=float(stagnation),
         dual_feasibility_max_violation=max(violation, 0.0),
+        method=method,
     )
 
 
 def _fidelity_terms(t: np.ndarray, p: float, eps: float):
     """|t|^p and its first two derivatives; (t^2 + eps^2)^(p/2) for p < 2."""
     if p < 2.0:
-        s = t * t + eps * eps
-        sp = s ** (0.5 * p - 2.0)
-        return s * s * sp, p * t * s * sp, p * ((p - 1.0) * t * t + eps * eps) * sp
+        return _smoothed_power(t, p, eps)
     a = np.abs(t)
     ap = a ** (p - 2.0)
     return a * a * ap, p * t * ap, p * (p - 1.0) * ap
+
+
+def _smoothed_power(t: np.ndarray, p: float, eps: float):
+    """(t^2 + eps^2)^(p/2), an upper bound of |t|^p, and its first two derivatives.
+
+    The second derivative is positive for every p >= 1, also at t = 0.
+    """
+    s = t * t + eps * eps
+    sp = s ** (0.5 * p - 2.0)
+    return s * s * sp, p * t * s * sp, p * ((p - 1.0) * t * t + eps * eps) * sp
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:

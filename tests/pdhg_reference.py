@@ -171,4 +171,5 @@ def _solve_pdhg(
         converged=converged,
         final_stagnation=float(stagnation),
         dual_feasibility_max_violation=max(violation, 0.0),
+        method="pdhg",
     )

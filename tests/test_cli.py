@@ -80,6 +80,7 @@ def test_solve_then_classify(tmp_path, euclid_json):
     assert rc == EXIT_OK
     report = json.loads((out / "solve_report.json").read_text())
     assert report["converged"]
+    assert report["method"] == "newton"
     assert report["energy"]["total"] == pytest.approx(
         report["energy"]["area"] + report["energy"]["fidelity"])
     assert b"\r" not in (out / "profile.csv").read_bytes()
@@ -100,6 +101,17 @@ def test_solve_budget_exhausted_still_ok(tmp_path):
     assert rc == EXIT_OK
     report = json.loads((out / "solve_report.json").read_text())
     assert not report["converged"]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_solve_report_names_the_chain_for_a_polygon(tmp_path, p):
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(
+        anisotropy={"kind": "lp", "q": 1.0}, p=p, g={"kind": "step", "a": 0.3}, grid={"n": 64}))
+    out = tmp_path / "out"
+    assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["method"] == "chain" and report["converged"]
+    assert (report["iterations"] == 1) == (p == 1.0)
 
 
 def test_solve_is_reproducible(tmp_path):

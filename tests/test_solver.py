@@ -1,6 +1,7 @@
 """Newton solver, exact chain sweep and brute-force oracle tests; the PDHG reference and its prox."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -387,18 +388,23 @@ def _polygon_sweep_cases(rng):
 
 
 @pytest.mark.parametrize("gauge", POLYGONS)
-@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("p", [1.0, 1.05, 1.5, 2.0, 3.0])
 def test_chain_energy_not_above_newton(gauge, p):
     aniso = GAUGES[gauge]
     for grid, g in _polygon_sweep_cases(np.random.default_rng([len(gauge), int(p)])):
         exact = solve(aniso, grid, g, p)
         newton = _solve_newton(aniso, grid, g, p)
-        assert newton.converged and newton.iterations > 1
+        # at p > 2 Newton can stall just short of tol_rel on a polygon (lp(1),
+        # p = 3, n = 128: a decrement of 3e-9 after 142 steps); its energy is
+        # still the reference
+        assert newton.iterations > 1 and (newton.converged or p > 2.0)
+        assert exact.converged and exact.method == "chain"
         assert exact.energy.total <= newton.energy.total + 1e-9 * (1.0 + newton.energy.total)
+        assert exact.dual_feasibility_max_violation <= 1e-12
 
 
 @pytest.mark.parametrize("gauge", POLYGONS)
-@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_chain_energy_not_above_the_lattice_bound(gauge, p):
     # the least energy over 401 levels per node bounds the minimum from above,
     # whatever the solver
@@ -446,17 +452,59 @@ def test_chain_is_bitwise_deterministic_and_reports_one_sweep():
             assert r1.dual_feasibility_max_violation <= 1e-12
 
 
-def test_solve_routes_polygons_at_p_one_and_two_to_the_chain():
+def test_solve_routes_every_polygon_to_the_chain():
     grid = Grid(-1, 1, 40)
     g = GSpec.step(0.3).sample(grid)
     for p in (1.0, 2.0):
         exact = _solve_chain(SQUARE, grid, g, p)
-        # the Newton step cap does not apply to the sweep
+        # the step cap does not apply to the single exact sweep
         routed = solve(SQUARE, grid, g, p, SolverConfig(max_iters=1))
         np.testing.assert_array_equal(routed.profile.values, exact.profile.values)
-        assert routed.converged
-    assert solve(SQUARE, grid, g, 1.5).iterations > 1
-    assert solve(EUCLID, grid, g, 1.0).iterations > 1
+        assert routed.converged and routed.method == "chain"
+    for aniso in (SQUARE, GAUGES["lp1"]):
+        routed = solve(aniso, grid, g, 1.5)
+        exact = _solve_chain(aniso, grid, g, 1.5)
+        np.testing.assert_array_equal(routed.profile.values, exact.profile.values)
+        assert routed.method == "chain" and routed.iterations > 1
+    for name in ("euclidean", "ellipse", "lp3"):
+        routed = solve(GAUGES[name], grid, g, 1.0)
+        assert routed.method == "newton" and routed.iterations > 1
+
+
+def test_chain_respects_the_sweep_cap():
+    grid = Grid(-1, 1, 64)
+    g = _fuzz(np.random.default_rng(12), 64)
+    for cap in (1, 2, 3):
+        rep = solve(SQUARE, grid, g, 1.5, SolverConfig(max_iters=cap))
+        assert rep.iterations == cap
+        assert not rep.converged
+    rep = solve(SQUARE, grid, g, 1.5)
+    assert rep.converged and rep.iterations > 3
+    assert 0.0 <= rep.final_stagnation <= SolverConfig().tol_rel
+
+
+def test_chain_proximal_newton_is_bitwise_deterministic():
+    grid = Grid(-1, 1, 96)
+    g = _fuzz(np.random.default_rng(9), 96)
+    for aniso in (SQUARE, HEXAGON):
+        for p in (1.5, 3.0):
+            r1, r2 = solve(aniso, grid, g, p), solve(aniso, grid, g, p)
+            np.testing.assert_array_equal(r1.profile.values, r2.profile.values)
+            assert r1.energy == r2.energy
+            assert (r1.iterations, r1.final_stagnation) == (r2.iterations, r2.final_stagnation)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_chain_on_a_generic_gauge_not_above_newton(p):
+    # a generic gauge is a polygon of 4096 sampled vertices, so its edge term
+    # has 2049 slope levels
+    aniso = Anisotropy.generic(math.hypot)
+    grid = Grid(-1, 1, 32)
+    g = GSpec.step(0.3).sample(grid)
+    exact = solve(aniso, grid, g, p)
+    newton = _solve_newton(aniso, grid, g, p)
+    assert exact.method == "chain" and exact.converged
+    assert exact.energy.total <= newton.energy.total + 1e-9 * (1.0 + newton.energy.total)
 
 
 def test_chain_divergence_on_nonfinite_datum():
@@ -464,10 +512,23 @@ def test_chain_divergence_on_nonfinite_datum():
     for bad in (np.nan, np.inf):
         g = np.zeros(9)
         g[4] = bad
-        for p in (1.0, 2.0):
+        for p in (1.0, 1.5, 2.0):
             with pytest.raises(SolverDivergenceError) as excinfo:
                 solve(SQUARE, grid, g, p)
             assert excinfo.value.iteration == 1
+
+
+def test_chain_solves_data_far_from_unit_scale():
+    # Newton's pivots vanish on such data at p > 2: the smoothed polygon gauge
+    # and |t|^p both lose their curvature, and the tridiagonal solve divides by 0
+    grid = Grid(-1, 1, 7)
+    rng = np.random.default_rng(3)
+    for scale in (1e-8, 1e6):
+        g = scale * rng.uniform(-1, 1, 8)
+        for p in (1.5, 2.5, 8.0):
+            rep = solve(SQUARE, grid, g, p)
+            assert rep.converged
+            assert rep.energy.total <= energy(SQUARE, Profile(grid, g), g, p).total
 
 
 def test_chain_maximum_principle_under_the_hexagon():
