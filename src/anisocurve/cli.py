@@ -171,8 +171,10 @@ def cmd_solve(args) -> int:
         ]
         run.emit_text("solve.svg", render_polylines(curves, labels=["u", "g"]))
     run.phase("emit")
-    if not report.converged:
+    if not report.converged and report.iterations == problem.solver.max_iters:
         run.say("warning: iteration budget exhausted before convergence")
+    elif not report.converged:
+        run.say("warning: the solve stalled before convergence (no representable decrease left)")
     run.say(f"total energy {report.energy.total:.9g} after {report.iterations} iterations")
     run.finish()
     return EXIT_OK

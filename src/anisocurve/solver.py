@@ -21,10 +21,11 @@ term per node.  :func:`solve` picks the method from the input:
 - every other input takes :func:`_solve_newton`.  The Hessian is
   tridiagonal for every gauge, and a damped Newton method solves the
   tridiagonal system H d = -grad E in O(n) per step (cyclic reduction
-  down to a Thomas sweep) and backtracks along d until the Armijo
-  condition holds.
+  down to a Thomas sweep).
 
-Both iterative methods need second derivatives, so the nonsmooth pieces
+Both iterative methods run one loop, :func:`_descend`: a step from the
+method's model, an Armijo backtrack along it, and a continuation in the
+smoothing width.  Both need second derivatives, so the nonsmooth pieces
 are smoothed with a relative width eps: |t|^p of the fidelity becomes
 (t^2 + (eps S)^2)^(p/2), with S the datum's range plus the interval
 length, for p < 2 (Newton) or every p other than 1 and 2 (the chain),
@@ -66,8 +67,8 @@ __all__ = [
 ]
 
 
-# Smoothing continuation of the Newton solver: eps starts at _EPS_START and is
-# multiplied by _EPS_FACTOR once the relative Newton decrement drops below
+# Smoothing continuation of _descend: eps starts at _EPS_START and is
+# multiplied by _EPS_FACTOR (Newton) once the relative decrement drops below
 # _STAGE_TOL * eps, until it reaches _EPS_FLOOR.  The proximal Newton method
 # of the chain multiplies by _CHAIN_EPS_FACTOR instead: each stage costs at
 # least one sweep, and with exact edge terms a coarser schedule loses nothing.
@@ -170,19 +171,13 @@ def solve(
 def _solve_newton(
     aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float, cfg: SolverConfig = SolverConfig()
 ) -> SolveReport:
-    """Damped Newton steps from u = g on the smoothed energy.
+    """Damped Newton steps from u = g on the smoothed energy, run by :func:`_descend`.
 
-    Each step solves the tridiagonal Newton system of the smoothed energy
-    (see the module docstring) and backtracks until the Armijo condition
-    holds.  With lambda^2 = -grad . d the Newton decrement,
-    lambda^2 / (2 (1 + |E|)) estimates the relative distance to the
-    smoothed minimum; a smoothing stage ends once it drops below
-    1e-2 eps, and the solve converges once, at the smoothing floor, it is
-    at most ``cfg.tol_rel``.  That last Newton step is still taken.
-
-    ``iterations`` counts Newton systems solved (at most ``cfg.max_iters``;
-    ``converged`` is false when the cap stops the solve) and
-    ``final_stagnation`` holds the relative decrement of the last one.
+    Each step solves the tridiagonal Newton system H d = -grad of the
+    smoothed energy (see the module docstring) and predicts the decrease
+    -grad . d, the squared Newton decrement.  eps starts at the floor when
+    nothing is smoothed (p >= 2 and a smooth dual gauge).  ``iterations``
+    counts Newton systems solved.
     """
     h = grid.h
     w = trapezoid_weights(grid)
@@ -190,19 +185,13 @@ def _solve_newton(
     # whose cheapest slope is not zero).  It bounds the Newton steps and sets
     # the fidelity's smoothing width eps * scale.
     scale = float(np.ptp(g)) + grid.length
-    eps = _EPS_FLOOR if p >= 2.0 and aniso.smooth_dual else _EPS_START
 
     def smoothed(u: np.ndarray, eps: float):
         area, da, dda, _ = aniso.smoothed_dual(u[:-1] - u[1:], h, eps)
         fid, dfid, ddfid = _fidelity_terms(u - g, p, eps * scale)
         return float(area.sum() + (w * fid).sum()), da, dda, w * dfid, w * ddfid
 
-    u = g.copy()
-    iterations = 0
-    converged = False
-    decrement = math.inf
-    while iterations < cfg.max_iters:
-        iterations += 1
+    def step(u: np.ndarray, eps: float):
         value, da, dda, grad, diag = smoothed(u, eps)
         grad[:-1] += da
         grad[1:] -= da
@@ -210,36 +199,12 @@ def _solve_newton(
         diag[1:] += dda
         diag += _RIDGE * diag.max()
         d = _solve_tridiagonal(diag, -dda, -grad)
-        if not np.isfinite(d).all():
-            raise SolverDivergenceError(iterations)
-        lam2 = max(-float(grad @ d), 0.0)
-        decrement = lam2 / (2.0 * (1.0 + abs(value)))
-        at_floor = eps <= _EPS_FLOOR
-        if not at_floor and decrement <= max(cfg.tol_rel, _STAGE_TOL * eps):
-            eps = max(eps * _EPS_FACTOR, _EPS_FLOOR)
-            continue
-        # backtracking line search for a strict decrease that meets the Armijo
-        # condition, given up once the step no longer moves u
-        t = min(1.0, scale / max(float(np.abs(d).max()), 1e-300))
-        moved = False
-        while not moved:
-            trial = u + t * d
-            if np.array_equal(trial, u):
-                break
-            new = smoothed(trial, eps)[0]
-            moved = new < value and new <= value - _ARMIJO * t * lam2
-            t *= 0.5
-        if moved:
-            u = trial
-        if at_floor and decrement <= cfg.tol_rel:
-            converged = True
-            break
-        if not moved:  # no representable decrease left at this eps
-            if at_floor:
-                break
-            eps = max(eps * _EPS_FACTOR, _EPS_FLOOR)
-    return _polished_report(aniso, grid, g, p, u, iterations, converged, decrement, eps,
-                            "newton")
+        return value, d, -float(grad @ d)
+
+    eps = _EPS_FLOOR if p >= 2.0 and aniso.smooth_dual else _EPS_START
+    return _polished_report(aniso, grid, g, p, *_descend(
+        g.copy(), eps, _EPS_FACTOR, scale, step, lambda u, eps: smoothed(u, eps)[0], cfg),
+        "newton")
 
 
 def _solve_chain(
@@ -252,26 +217,16 @@ def _solve_chain(
     exact minimizer: ``iterations = 1``, ``converged`` true and
     ``final_stagnation = 0``.
 
-    At any other p the sweep is the subproblem of a proximal Newton method
-    (Lee, Sun & Saunders, "Proximal Newton-type methods for minimizing
-    composite functions", SIAM J. Optim. 24, 2014).  Only the fidelity is
-    smoothed, to (t^2 + (eps S)^2)^(p/2) with S the datum's range plus the
-    interval length; the edge terms stay exact.  Each step replaces the
-    smoothed fidelity F by its second-order model at u, the weighted
-    quadratic sum_j W_j (x_j - c_j)^2 + const with W_j = w_j f''_j / 2
-    and c_j = u_j - f'_j / f''_j, and one sweep minimizes that model plus
-    the exact edge terms psi.  The step d = u_hat - u is backtracked until
-    the Armijo condition on the model decrement
-
-        delta = grad F . d + psi(u + d) - psi(u) < 0
-
-    holds.  -delta / (2 (1 + |E|)) plays the part of Newton's decrement in
-    the continuation and stopping rule of :func:`_solve_newton`: a
-    smoothing stage ends once it is at most 1e-2 eps, and the solve
-    converges once, at the smoothing floor, it is at most ``cfg.tol_rel``.
-    eps starts at 1e-2 as for Newton but shrinks a thousandfold per stage.
-    ``iterations`` counts sweeps, at most ``cfg.max_iters``, and
-    ``final_stagnation`` is the last relative decrement.
+    At any other p :func:`_descend` runs a proximal Newton method (Lee, Sun
+    & Saunders, "Proximal Newton-type methods for minimizing composite
+    functions", SIAM J. Optim. 24, 2014) whose steps are sweeps.  Only the
+    fidelity is smoothed, to (t^2 + (eps S)^2)^(p/2); the edge terms psi
+    stay exact.  Each step replaces the smoothed fidelity F by its
+    second-order model at u, the weighted quadratic
+    sum_j W_j (x_j - c_j)^2 + const with W_j = w_j f''_j / 2 and
+    c_j = u_j - f'_j / f''_j, and one sweep minimizes that model plus psi.
+    The step d = u_hat - u predicts the decrease
+    -(grad F . d + psi(u + d) - psi(u)).  ``iterations`` counts sweeps.
     """
     if not np.isfinite(g).all():
         raise SolverDivergenceError(1)
@@ -297,43 +252,63 @@ def _solve_chain(
         fid, dfid, ddfid = _smoothed_power(u - g, p, eps * scale)
         return float(w @ fid), w * dfid, w * ddfid
 
-    u = g.copy()
-    eps = _EPS_START
-    iterations = 0
-    converged = False
-    decrement = math.inf
-    while iterations < cfg.max_iters:
-        iterations += 1
+    def step(u: np.ndarray, eps: float):
         fid, grad, curv = fidelity(u, eps)
         area = edges(u)
-        value = area + fid
         weights = 0.5 * curv + ridge
-        d = _chain_sweep(levels, kinks, u - 0.5 * grad / weights, weights, True) - u
+        centres = u - 0.5 * grad / weights
+        if not (np.isfinite(weights).all() and np.isfinite(centres).all()):
+            return area + fid, np.full_like(u, np.nan), 0.0  # the model overflowed: _descend raises
+        d = _chain_sweep(levels, kinks, centres, weights, True) - u
+        return area + fid, d, area - edges(u + d) - float(grad @ d)
+
+    return _polished_report(aniso, grid, g, p, *_descend(
+        g.copy(), _EPS_START, _CHAIN_EPS_FACTOR, scale, step,
+        lambda u, eps: edges(u) + fidelity(u, eps)[0], cfg), "chain")
+
+
+def _descend(u, eps, factor, scale, step, objective, cfg):
+    """Damped descent from u on an energy smoothed at width eps, with continuation.
+
+    ``step(u, eps)`` returns the smoothed energy E at u, a direction d and
+    the decrease ``gain`` that the method's model predicts for u + d;
+    ``objective(u, eps)`` is E.  The line search halves t from
+    min(1, scale / max|d|) until E(u + t d) <= E(u) - 1/4 t gain < E(u)
+    (Armijo), and gives up once the decrease it asks for is below the
+    rounding of E.  The relative decrement gain / (2 (1 + |E|)) estimates
+    the relative distance to the smoothed minimum.  A smoothing stage ends
+    after a step whose decrement is at most 1e-2 eps or whose line search
+    gave up: eps is multiplied by ``factor``, down to the floor.  There
+    the solve converges once the decrement is at most ``cfg.tol_rel``
+    (that step is still taken) and stops when the line search gives up;
+    ``cfg.max_iters`` caps the steps.  A non-finite d raises
+    :class:`SolverDivergenceError`.  Returns u, the number of steps,
+    whether they converged, the last relative decrement and the last eps.
+    """
+    decrement = math.inf
+    for iterations in range(1, cfg.max_iters + 1):
+        value, d, gain = step(u, eps)
         if not np.isfinite(d).all():
             raise SolverDivergenceError(iterations)
-        gain = max(0.0, area - edges(u + d) - float(grad @ d))  # -delta, see above
+        gain = max(0.0, gain)
         decrement = gain / (2.0 * (1.0 + abs(value)))
-        # backtracking line search for the Armijo condition, given up once the
-        # decrease it asks for is below the rounding of the energy
-        t = 1.0
+        t = min(1.0, scale / max(float(np.abs(d).max()), 1e-300))
         moved = False
         while not moved and value - _ARMIJO * t * gain < value:
             trial = u + t * d
-            new = edges(trial) + fidelity(trial, eps)[0]
+            new = objective(trial, eps)
             moved = new < value and new <= value - _ARMIJO * t * gain
             t *= 0.5
         if moved:
             u = trial
         at_floor = eps <= _EPS_FLOOR
         if at_floor and decrement <= cfg.tol_rel:
-            converged = True
-            break
+            return u, iterations, True, decrement, eps
         if not at_floor and (not moved or decrement <= max(cfg.tol_rel, _STAGE_TOL * eps)):
-            eps = max(eps * _CHAIN_EPS_FACTOR, _EPS_FLOOR)
+            eps = max(eps * factor, _EPS_FLOOR)
         elif not moved:  # no representable decrease left at the floor
             break
-    return _polished_report(aniso, grid, g, p, u, iterations, converged, decrement, _EPS_FLOOR,
-                            "chain")
+    return u, iterations, False, decrement, eps
 
 
 def _chain_sweep(
@@ -540,18 +515,21 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     unknowns a Thomas sweep over Python floats is cheaper.  Both are
     Gaussian elimination without pivoting on a symmetric permutation of the
     matrix, which is stable for the positive definite systems of
-    :func:`solve`.
+    :func:`solve`.  A zero pivot makes the result non-finite in both.
     """
     n = len(diag)
     if n <= _THOMAS_MAX:
         b, e, x = diag.tolist(), off.tolist(), rhs.tolist()
-        for i in range(1, n):
-            m = e[i - 1] / b[i - 1]
-            b[i] -= m * e[i - 1]
-            x[i] -= m * x[i - 1]
-        x[-1] /= b[-1]
-        for i in range(n - 2, -1, -1):
-            x[i] = (x[i] - e[i] * x[i + 1]) / b[i]
+        try:
+            for i in range(1, n):
+                m = e[i - 1] / b[i - 1]
+                b[i] -= m * e[i - 1]
+                x[i] -= m * x[i - 1]
+            x[-1] /= b[-1]
+            for i in range(n - 2, -1, -1):
+                x[i] = (x[i] - e[i] * x[i + 1]) / b[i]
+        except ZeroDivisionError:  # a zero pivot; cyclic reduction gives NaN there
+            return np.full(n, math.nan)
         return np.array(x)
     if n % 2 == 0:  # pad with the decoupled equation x = 0
         diag, off, rhs = np.append(diag, 1.0), np.append(off, 0.0), np.append(rhs, 0.0)
@@ -579,14 +557,20 @@ def brute_force_oracle(
 ) -> Profile:
     """Independent minimizer for tiny grids: lattice minimum + refinement.
 
-    Nodal values are quantized to ``levels`` points in the maximum
-    principle window [-||g||_inf, ||g||_inf], and the exact minimum over
-    that lattice is found by dynamic programming along the chain; the
-    lattice optimum is then polished by a shrinking full cross-product
-    pattern search.  The pattern includes every diagonal move, which
-    matters: the energy is piecewise linear for crystalline gauges with
-    p = 1, and purely coordinate-wise refinement stalls at nonsmooth
-    corners there.
+    Nodal values are quantized to ``levels`` points in the window
+    [-||g||_inf, ||g||_inf], and the exact minimum over that lattice is
+    found by dynamic programming along the chain; the lattice optimum is
+    then polished by a shrinking full cross-product pattern search inside
+    the window.  The pattern includes every diagonal move, which matters:
+    the energy is piecewise linear for crystalline gauges with p = 1, and
+    purely coordinate-wise refinement stalls at nonsmooth corners there.
+
+    The window holds a minimizer when the gauge is mirror-symmetric,
+    phi°(-r, h) = phi°(r, h), by the maximum principle.  Under any other
+    gauge a minimizer can leave it, and the result is then the minimum
+    over the window only: on the rotated hexagon with n = 1, p = 2 and
+    g = (0.0806, 0.3672) the minimizer has u_1 = 0.4266 and an energy
+    0.4% below the oracle's.
     """
     if grid.n_cells > 4:
         raise ValueError("brute_force_oracle handles n_cells <= 4 only")

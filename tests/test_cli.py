@@ -93,14 +93,15 @@ def test_solve_then_classify(tmp_path, euclid_json):
     assert verdict["monotone"] in ("nondecreasing", "constant")
 
 
-def test_solve_budget_exhausted_still_ok(tmp_path):
+def test_solve_budget_exhausted_still_ok(tmp_path, capsys):
     prob = _write_json(tmp_path / "prob.json",
                        _problem_payload(solver={"max_iters": 1}))
     out = tmp_path / "out"
-    rc = main(["solve", prob, "--out-dir", str(out), "--quiet"])
+    rc = main(["solve", prob, "--out-dir", str(out)])
     assert rc == EXIT_OK
     report = json.loads((out / "solve_report.json").read_text())
     assert not report["converged"]
+    assert "warning: iteration budget exhausted before convergence" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
@@ -259,6 +260,40 @@ def test_divergence_exit_three(tmp_path, monkeypatch):
     monkeypatch.setattr("anisocurve.cli.solve", blow_up)
     assert main(["solve", prob, "--out-dir", str(tmp_path / "out"),
                  "--quiet"]) == EXIT_DIVERGED
+
+
+def _diverges_with_one_line(tmp_path, capsys, payload):
+    prob = _write_json(tmp_path / "prob.json", payload)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_DIVERGED
+    assert capsys.readouterr().err == "error: solver diverged at iteration 1\n"
+    assert not (out / "solve_report.json").exists()
+
+
+def test_overflowing_chain_model_exits_three(tmp_path, capsys):
+    square = {"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
+    _diverges_with_one_line(tmp_path, capsys, _problem_payload(
+        anisotropy=square, p=80.0, g={"kind": "step", "a": 1e6}, grid={"n": 16}))
+
+
+def test_singular_newton_system_exits_three(tmp_path, capsys):
+    csv = tmp_path / "g.csv"
+    csv.write_text("s,g\n-1,-1e150\n1,1e150\n")
+    _diverges_with_one_line(tmp_path, capsys, _problem_payload(
+        p=2.5, g={"kind": "csv", "path": str(csv)}, grid={"n": 16}))
+
+
+def test_solve_that_stalls_says_so(tmp_path, capsys):
+    # no decrease of the energy is representable at this height
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(
+        p=2.5, g={"kind": "step", "a": 1e20}, grid={"n": 16}, solver={}))
+    assert main(["solve", prob, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert not report["converged"] and report["iterations"] < 200_000
+    out = capsys.readouterr().out
+    assert "warning: the solve stalled before convergence" in out
+    assert "budget" not in out
 
 
 @pytest.mark.parametrize("p_text", ["NaN", "Infinity", "-Infinity"])
