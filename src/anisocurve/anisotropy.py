@@ -157,20 +157,23 @@ class Anisotropy:
     def __init__(self, kind: str, **params):
         self.kind = kind
         self._params = params
-        self._face_cache: Optional[tuple] = None  # (points, params, total_len)
+        self._face_cache: Optional[tuple] = None  # (points, params, total_len, face tol)
         self._measure_cache: dict[Optional[int], WulffMeasures] = {}
         self._flags: Optional[SymmetryFlags] = None
+        # the semi-axes of a quadratic-form gauge; the Euclidean gauge is the unit ellipse
+        self._axes: Optional[tuple[float, float]] = None
         # phi°(r, h) is twice differentiable in r with bounded curvature (h > 0)
         self.smooth_dual = kind in ("euclidean", "ellipse") or (kind == "lp" and params["q"] < 2.0)
-        if kind == "ellipse":
-            if not all(0.0 < params[k] < math.inf for k in ("a", "b")):
+        if kind in ("euclidean", "ellipse"):
+            self._axes = (1.0, 1.0) if kind == "euclidean" else (params["a"], params["b"])
+            if not all(0.0 < d < math.inf for d in self._axes):
                 raise AnisotropyError("ellipse semi-axes must be finite and positive")
         elif kind == "lp":
             if not 1.0 < params["q"] < math.inf:
                 raise AnisotropyError(f"lp exponent must be finite with q >= 1, got {params['q']}")
         elif kind == "polygon":
             self._init_polygon(params["vertices"])
-        elif kind != "euclidean":
+        else:
             raise AnisotropyError(f"unknown anisotropy kind {kind!r}")
 
     # -- construction ------------------------------------------------
@@ -265,10 +268,9 @@ class Anisotropy:
         """phi on an (n, 2) array of vectors."""
         v = np.asarray(v, dtype=float)
         x, y = v[..., 0], v[..., 1]
-        if self.kind == "euclidean":
-            return np.hypot(x, y)
-        if self.kind == "ellipse":
-            return np.hypot(x / self._params["a"], y / self._params["b"])
+        if self._axes:
+            a, b = self._axes
+            return np.hypot(x / a, y / b)
         if self.kind == "lp":
             q = self._params["q"]
             return (np.abs(x) ** q + np.abs(y) ** q) ** (1.0 / q)
@@ -282,10 +284,9 @@ class Anisotropy:
         """phi°, the support function of the Wulff shape, on (n, 2) vectors."""
         v = np.asarray(v, dtype=float)
         x, y = v[..., 0], v[..., 1]
-        if self.kind == "euclidean":
-            return np.hypot(x, y)
-        if self.kind == "ellipse":
-            return np.hypot(x * self._params["a"], y * self._params["b"])
+        if self._axes:
+            a, b = self._axes
+            return np.hypot(x * a, y * b)
         if self.kind == "lp":
             q = self._params["q"]
             qd = q / (q - 1.0)
@@ -303,8 +304,8 @@ class Anisotropy:
         ``h > 0`` is a scalar and ``eps`` a smoothing width relative to h, so
         phi°_eps stays one-homogeneous in (r, h).  Three formulas:
 
-        - euclidean and ellipse(a, b): the quadratic form sqrt(A r^2 + B h^2),
-          with (A, B) = (a^2, b^2) for the ellipse; it is smooth already and
+        - ellipse(a, b), which includes the Euclidean gauge a = b = 1: the
+          quadratic form sqrt(a^2 r^2 + b^2 h^2); it is smooth already and
           ignores eps;
         - lp(q): (|r|^q' + h^q')^(1/q') with q' = q / (q - 1) and |r|^q'
           replaced by (r^2 + (eps h)^2)^(q'/2), which bounds the curvature at
@@ -318,10 +319,8 @@ class Anisotropy:
         with q < 2, whose |r|^q' has q' > 2.
         """
         r = np.asarray(r, dtype=float)
-        if self.kind in ("euclidean", "ellipse"):
-            a2, b2 = 1.0, 1.0
-            if self.kind == "ellipse":
-                a2, b2 = self._params["a"] ** 2, self._params["b"] ** 2
+        if self._axes:
+            a2, b2 = self._axes[0] ** 2, self._axes[1] ** 2
             s = np.sqrt(a2 * r * r + b2 * h * h)
             return s, a2 * r / s, a2 * b2 * h * h / s**3, b2 * h / s
         if self.kind == "lp":
@@ -356,11 +355,6 @@ class Anisotropy:
             raise AnisotropyError("boundary_point requires a nonzero direction")
         return d / g
 
-    def diameter(self) -> float:
-        """Euclidean diameter of the Wulff shape (from the face polyline)."""
-        pts, _, _ = self._face_polyline()
-        return 2.0 * float(np.hypot(pts[:, 0], pts[:, 1]).max())
-
     # -- boundary sampling -------------------------------------------
 
     def wulff_sample(self, m: int) -> np.ndarray:
@@ -383,8 +377,9 @@ class Anisotropy:
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
         return dirs / self.eval_many(dirs)[:, None]
 
-    def _face_polyline(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Cached boundary polyline with cumulative arc-length parameters."""
+    def _face_polyline(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Cached boundary polyline with cumulative arc-length parameters, its
+        length, and the exposed-face tolerance 1e-7 times its Euclidean diameter."""
         if self._face_cache is None:
             if self.kind == "polygon":
                 pts = self._params["vertices"]
@@ -392,7 +387,8 @@ class Anisotropy:
                 pts = self.wulff_sample(DEFAULT_FACE_SAMPLES)
             seg = np.hypot(*np.diff(np.vstack([pts, pts[:1]]), axis=0).T)
             params = np.concatenate([[0.0], np.cumsum(seg[:-1])])
-            self._face_cache = (pts, params, float(seg.sum()))
+            tol = 2e-7 * float(np.hypot(pts[:, 0], pts[:, 1]).max())
+            self._face_cache = (pts, params, float(seg.sum()), tol)
         return self._face_cache
 
     # -- measures and flags ------------------------------------------
@@ -433,10 +429,8 @@ class Anisotropy:
         return self._flags
 
     def _compute_flags(self) -> SymmetryFlags:
-        if self.kind == "euclidean":
-            return SymmetryFlags(True, False, True, 1.0)
-        if self.kind == "ellipse":
-            a, b = self._params["a"], self._params["b"]
+        if self._axes:
+            a, b = self._axes
             rbar = min(a * a / b, b * b / a)
             return SymmetryFlags(True, False, True, rbar)
         if self.kind == "lp":
@@ -458,10 +452,9 @@ class Anisotropy:
 
     # -- exposed faces ------------------------------------------------
 
-    def face_mask(self, nu: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-        """Face-polyline points within tol (default 1e-7 diameter) of the support value."""
-        tol = 1e-7 * self.diameter() if tol is None else float(tol)
-        pts, _, _ = self._face_polyline()
+    def face_mask(self, nu: np.ndarray) -> np.ndarray:
+        """Face-polyline points within 1e-7 diameter of the support value."""
+        pts, _, _, tol = self._face_polyline()
         dots = pts @ np.asarray(nu, dtype=float)
         target = self.eval_dual(nu)
         mask = dots >= target - tol
@@ -469,8 +462,9 @@ class Anisotropy:
             mask[int(np.argmax(dots))] = True
         return mask
 
-    def exposed_face(self, nu, tol: Optional[float] = None) -> BoundaryArc:
-        """The boundary arc {N : <N, nu> >= phi°(nu) - tol} (exposed face).
+    def exposed_face(self, nu) -> BoundaryArc:
+        """The boundary arc {N : <N, nu> >= phi°(nu) - tol} (exposed face), with
+        tol 1e-7 times the diameter of the Wulff shape.
 
         Exact for polygons (a vertex or a whole edge); a short arc
         around the maximizer for strictly convex shapes.
@@ -479,11 +473,10 @@ class Anisotropy:
         n = np.hypot(nu[0], nu[1])
         if abs(n - 1.0) > 1e-12:
             raise AnisotropyError("exposed_face expects a unit normal")
-        mask = self.face_mask(nu, tol)
-        return self._arc_from_mask(mask)
+        return self._arc_from_mask(self.face_mask(nu))
 
     def _arc_from_mask(self, mask: np.ndarray) -> BoundaryArc:
-        pts, params, total = self._face_polyline()
+        pts, params, total, _ = self._face_polyline()
         idx = np.nonzero(mask)[0]
         if len(idx) == len(mask):
             raise GeometryError("face mask covers the whole boundary")
@@ -507,14 +500,12 @@ class Anisotropy:
             midpoint=np.asarray(mid, dtype=float),
         )
 
-    def normal_contact_point(self, nu, tol: Optional[float] = None) -> np.ndarray:
+    def normal_contact_point(self, nu) -> np.ndarray:
         """Boundary point with outward normal nu (face midpoint for facets)."""
         nu = _as_vec(nu)
         nu = nu / np.hypot(nu[0], nu[1])
-        if self.kind == "euclidean":
-            return nu
-        if self.kind == "ellipse":
-            a, b = self._params["a"], self._params["b"]
+        if self._axes:
+            a, b = self._axes
             p = np.array([a * a * nu[0], b * b * nu[1]])
             return p / self.eval_dual(nu)
         if self.kind == "lp":
@@ -523,7 +514,7 @@ class Anisotropy:
             denom = (abs(nu[0]) ** qd + abs(nu[1]) ** qd) ** (1.0 / qd)
             w = nu / denom
             return np.sign(w) * np.abs(w) ** (qd - 1.0)
-        arc = self.exposed_face(nu, tol)
+        arc = self.exposed_face(nu)
         return 0.5 * (arc.endpoints[0] + arc.endpoints[1])
 
     # -- Euclidean projection onto the Wulff shape --------------------

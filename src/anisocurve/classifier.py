@@ -64,9 +64,7 @@ def _monotone_class(du: np.ndarray) -> str:
     return "constant"
 
 
-def cahn_hoffman(
-    aniso: Anisotropy, u: Profile, tol: Optional[float] = None
-) -> CahnHoffmanResult:
+def cahn_hoffman(aniso: Anisotropy, u: Profile) -> CahnHoffmanResult:
     """Search for a single calibration vector feasible on every edge face."""
     warning = None
     if not aniso.symmetry_flags().partially_monotone:
@@ -85,7 +83,7 @@ def cahn_hoffman(
     masks = {}
     witness_pair = None
     for j in unique_idx:
-        mask = aniso.face_mask(all_normals[j], tol)
+        mask = aniso.face_mask(all_normals[j])
         masks[j] = mask
         if running is None:
             running = mask.copy()

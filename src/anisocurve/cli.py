@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anisotropy import Anisotropy, AnisotropyError, anisotropy_from_json
+from .anisotropy import Anisotropy, AnisotropyError, GeometryError, anisotropy_from_json
 from .classifier import cahn_hoffman
 from .energy import IngestionError, read_profile_csv, write_profile_csv, write_two_column_csv
 from .geometry import column_heights, read_raster, vertical_rearrangement, write_raster
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except SolverDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (AnisotropyError, IngestionError, ValueError, KeyError, OSError,
+    except (AnisotropyError, GeometryError, IngestionError, ValueError, KeyError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -65,8 +65,9 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_cells + 1)
 
-    def refine(self, factor: int = 2) -> "Grid":
-        return Grid(self.x_min, self.x_max, self.n_cells * factor)
+    def refine(self) -> "Grid":
+        """The grid with every cell halved."""
+        return Grid(self.x_min, self.x_max, self.n_cells * 2)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ JUMP_EXPONENT = 0.75
 JUMP_EXCESS_DECAY = 0.75
 JUMP_FRACTION = 0.125  # the probed jump, as a fraction of the datum's range
 FLAT_SLOPE = 1e-9  # slope maxima below this count as a flat profile
+MAX_PRINCIPLE_TOL = 1e-6  # lipschitz_report: how far u may leave the datum's range
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def edge_unit_normals(u: Profile) -> np.ndarray:
     return np.column_stack([-du, np.full(len(du), h)]) / norms[:, None]
 
 
-def lipschitz_report(u: Profile, g: np.ndarray, tol: float = 1e-6) -> RegularityReport:
+def lipschitz_report(u: Profile, g: np.ndarray) -> RegularityReport:
     """Slope maximum, minimal vertical normal component, and the
     maximum-principle margins against [-||g^-||_inf, ||g^+||_inf]."""
     g = np.asarray(g, dtype=float)
@@ -85,7 +86,7 @@ def lipschitz_report(u: Profile, g: np.ndarray, tol: float = 1e-6) -> Regularity
     lo = -float(np.max(np.maximum(-g, 0.0)))
     margin_low = float(np.min(u.values) - lo)
     margin_high = float(hi - np.max(u.values))
-    ok = margin_low >= -tol and margin_high >= -tol
+    ok = margin_low >= -MAX_PRINCIPLE_TOL and margin_high >= -MAX_PRINCIPLE_TOL
     return RegularityReport(
         lipschitz_estimate=lip,
         normal_deviation_min=deviation,

@@ -88,6 +88,7 @@ _ROUNDING = 1e-14
 # back on it
 _SNAP = 1e3 * _EPS_FLOOR
 _THOMAS_MAX = 128  # cyclic reduction hands systems this small to a Thomas sweep
+_ORACLE_LEVELS = 21  # brute_force_oracle: lattice points per node
 
 
 class SolverDivergenceError(RuntimeError):
@@ -553,11 +554,10 @@ def brute_force_oracle(
     grid: Grid,
     g: np.ndarray,
     p: float,
-    levels: int = 21,
 ) -> Profile:
     """Independent minimizer for tiny grids: lattice minimum + refinement.
 
-    Nodal values are quantized to ``levels`` points in the window
+    Nodal values are quantized to ``_ORACLE_LEVELS`` points in the window
     [-||g||_inf, ||g||_inf], and the exact minimum over that lattice is
     found by dynamic programming along the chain; the lattice optimum is
     then polished by a shrinking full cross-product pattern search inside
@@ -574,13 +574,11 @@ def brute_force_oracle(
     """
     if grid.n_cells > 4:
         raise ValueError("brute_force_oracle handles n_cells <= 4 only")
-    if levels < 21:
-        raise ValueError("oracle requires levels >= 21")
     g = np.asarray(g, dtype=float)
     bound = float(np.max(np.abs(g)))
     if bound == 0.0:
         return Profile(grid, np.zeros(grid.n_cells + 1))
-    axis = np.linspace(-bound, bound, levels)
+    axis = np.linspace(-bound, bound, _ORACLE_LEVELS)
     vals = _pattern_refine(aniso, grid, g, p, _lattice_minimum(aniso, grid, g, p, axis), bound)
     return Profile(grid, vals)
 
@@ -621,7 +619,6 @@ def _pattern_refine(
     p: float,
     vals: np.ndarray,
     bound: float,
-    max_stages: int = 2000,
 ) -> np.ndarray:
     """Shrinking cross-product pattern search around the lattice optimum.
 
@@ -637,8 +634,8 @@ def _pattern_refine(
     center_row = int(np.flatnonzero(np.all(pattern == 0.0, axis=1))[0])
 
     center = vals.copy()
-    w = 2.0 * bound / 20.0
-    for _ in range(max_stages):
+    w = 2.0 * bound / (_ORACLE_LEVELS - 1)
+    for _ in range(2000):  # a bound only: the width falls below rounding first
         block = np.clip(center[None, :] + w * pattern, -bound, bound)
         totals = energy_totals(aniso, block, g, p, grid)
         k = int(np.argmin(totals))

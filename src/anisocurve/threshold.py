@@ -14,7 +14,6 @@ for elliptic smooth gauges without vertical facets).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -77,20 +76,11 @@ def _classify(flags: SymmetryFlags) -> str:
     return "not_applicable"
 
 
-def sigma_threshold(
-    aniso: Anisotropy,
-    p: float,
-    interval_length: float,
-    measure_samples: Optional[int] = None,
-) -> ThresholdReport:
-    """Threshold report for a gauge, fidelity exponent and interval length.
-
-    sigma is computed even when the hypothesis flags fail; the
-    regularity_class field then reads "not_applicable".
-    """
-    check_fidelity_exponent(p)
+def _smallness(aniso: Anisotropy, interval_length: float):
+    """The Wulff measures, phi(e1), phi(e2) and the least of the three branches
+    alpha0 phi(e1) / 4, alpha0 / (2 phi(e2)) and |I| phi(e1) / (4 phi(e2))."""
     _check_interval_length(interval_length)
-    measures = aniso.wulff_measures(measure_samples)
+    measures = aniso.wulff_measures()
     phi_e1 = aniso.eval(E1)
     phi_e2 = aniso.eval(E2)
     alpha0 = measures.alpha0
@@ -99,13 +89,24 @@ def sigma_threshold(
         alpha0 / (2.0 * phi_e2),
         interval_length * phi_e1 / (4.0 * phi_e2),
     )
-    base = branch / (4.0 ** (p - 1.0) * p)
-    sigma = base if p == 1.0 else base ** (1.0 / p)
+    return measures, phi_e1, phi_e2, branch
+
+
+def sigma_threshold(aniso: Anisotropy, p: float, interval_length: float) -> ThresholdReport:
+    """Threshold report for a gauge, fidelity exponent and interval length.
+
+    sigma is computed even when the hypothesis flags fail; the
+    regularity_class field then reads "not_applicable".
+    """
+    check_fidelity_exponent(p)
+    measures, phi_e1, phi_e2, branch = _smallness(aniso, interval_length)
+    # the p-th root taken before the power of 4, which would overflow above p = 513
+    sigma = (branch / p) ** (1.0 / p) / 4.0 ** ((p - 1.0) / p)
     gamma = 3.0 * sigma
     lam = p * (4.0 * sigma) ** (p - 1.0)
     flags = aniso.symmetry_flags()
     return ThresholdReport(
-        alpha0=alpha0,
+        alpha0=measures.alpha0,
         c_phi=measures.c_phi,
         sigma=sigma,
         gamma=gamma,
@@ -134,7 +135,6 @@ def linf_hypothesis_check(
     lam: float,
     interval_length: float,
     u_inf: float,
-    measure_samples: Optional[int] = None,
 ) -> LinfCheck:
     """Strict L-infinity smallness bound under which jumps are excluded.
 
@@ -143,19 +143,11 @@ def linf_hypothesis_check(
     """
     if finite_number(lam, "lambda") <= 0:
         raise ValueError(f"lambda must be positive, got {lam!r}")
-    _check_interval_length(interval_length)
-    measures = aniso.wulff_measures(measure_samples)
-    phi_e1 = aniso.eval(E1)
-    phi_e2 = aniso.eval(E2)
-    alpha0 = measures.alpha0
-    bound = min(
-        alpha0 * phi_e1 / (4.0 * lam),
-        alpha0 / (2.0 * lam * phi_e2),
-        interval_length * phi_e1 / (4.0 * lam * phi_e2),
-    )
+    measures, phi_e1, _, branch = _smallness(aniso, interval_length)
+    bound = branch / lam
     return LinfCheck(
         satisfied=bool(u_inf < bound),
         bound=bound,
-        contact_radius_cap=alpha0 / lam,
-        gamma_lower_bound=alpha0 * phi_e1 / (2.0 * lam),
+        contact_radius_cap=measures.alpha0 / lam,
+        gamma_lower_bound=measures.alpha0 * phi_e1 / (2.0 * lam),
     )

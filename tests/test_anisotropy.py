@@ -1,5 +1,6 @@
 """Gauge, dual gauge and Wulff-shape geometry tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -455,6 +456,22 @@ def test_lp1_is_the_diamond_and_lp2_is_euclidean_bitwise():
                             "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}
     assert l2.to_json() == {"kind": "euclidean"}
     assert l1.wulff_measures().area == 2.0
+
+
+@pytest.mark.parametrize("aniso", [Anisotropy.euclidean(), Anisotropy.ellipse(1.0, 1.0)],
+                         ids=["euclidean", "unit-ellipse"])
+def test_the_euclidean_gauge_is_the_unit_ellipse_bitwise(aniso):
+    rng = np.random.default_rng(8)
+    extreme = [[1e-300, 1e-300], [1e300, 1e300], [1e-300, 1e300], [0.0, 0.0], [-0.0, 1e300]]
+    v = np.vstack([_wide_range_vectors(), rng.standard_normal((512, 2)), extreme])
+    x, y = v[:, 0], v[:, 1]
+    assert np.array_equal(aniso.eval_many(v), np.hypot(x, y))
+    assert np.array_equal(aniso.eval_dual_many(v), np.hypot(x, y))
+    r, h = np.append(x[:4096], 0.0), 0.01
+    s = np.sqrt(r * r + h * h)
+    for got, closed_form in zip(aniso.smoothed_dual(r, h, 1e-3), (s, r / s, h * h / s**3, h / s)):
+        assert np.array_equal(got, closed_form)
+    assert dataclasses.astuple(aniso.symmetry_flags()) == (True, False, True, 1.0)
 
 
 @pytest.mark.parametrize("vertices", [

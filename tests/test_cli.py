@@ -552,3 +552,25 @@ def test_missing_raster_header_key_exits_two_naming_it(tmp_path, capsys, key):
     assert main(["rearrange", str(path), "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {path}: raster header: missing key {key!r}\n"
     assert not (out / "rearranged_profile.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["wulff"], ["threshold", "--p", "1", "--length", "2"]],
+                         ids=["wulff", "threshold"])
+def test_degenerate_wulff_shape_exits_two_with_one_line(tmp_path, capsys, command):
+    # valid semi-axes whose Wulff boundary polyline has no representable area
+    tiny = _write_json(tmp_path / "tiny.json", {"kind": "ellipse", "a": 1e-310, "b": 1.0})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        rc = main([command[0], tiny, *command[1:], "--out-dir", str(out), "--quiet"])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: degenerate Wulff boundary polyline\n"
+
+
+@pytest.mark.parametrize("p", ["600", "1e6"])
+def test_threshold_at_a_large_exponent(tmp_path, euclid_json, p):
+    out = tmp_path / "out"
+    rc = main(["threshold", euclid_json, "--p", p, "--length", "2", "--out-dir", str(out),
+               "--quiet"])
+    assert rc == EXIT_OK
+    assert 0.0 < json.loads((out / "threshold.json").read_text())["sigma"] < 0.25

@@ -243,12 +243,10 @@ def test_oracle_trivial_data():
                                0.37, atol=1e-6)
 
 
-def test_oracle_rejects_large_grids_and_few_levels():
+def test_oracle_rejects_large_grids():
     grid = Grid(-1, 1, 5)
     with pytest.raises(ValueError):
         brute_force_oracle(EUCLID, grid, np.zeros(6), 1.0)
-    with pytest.raises(ValueError):
-        brute_force_oracle(EUCLID, Grid(-1, 1, 2), np.zeros(3), 1.0, levels=5)
 
 
 def test_oracle_below_sampled_closed_form():

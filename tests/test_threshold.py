@@ -36,6 +36,24 @@ def test_sigma_euclid_p2():
     assert rep.sigma == pytest.approx(math.sqrt(rep.alpha0 / 32.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [600.0, 1e6])
+def test_sigma_at_a_large_exponent_is_finite_and_below_a_quarter(p):
+    # 4^(p-1) alone overflows a float above p = 513
+    rep = sigma_threshold(EUCLID, p, 2.0)
+    assert 0.0 < rep.sigma < 0.25
+    assert math.isfinite(rep.gamma) and math.isfinite(rep.lam)
+
+
+@pytest.mark.parametrize("aniso", [EUCLID, SQUARE, Anisotropy.ellipse(2.0, 0.5)],
+                         ids=["euclidean", "square", "ellipse"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_sigma_matches_the_direct_formula(aniso, p):
+    rep = sigma_threshold(aniso, p, 2.0)
+    branch = min(rep.alpha0 * rep.phi_e1 / 4.0, rep.alpha0 / (2.0 * rep.phi_e2),
+                 2.0 * rep.phi_e1 / (4.0 * rep.phi_e2))
+    assert rep.sigma == pytest.approx((branch / (4.0 ** (p - 1.0) * p)) ** (1.0 / p), rel=1e-14)
+
+
 def test_sigma_square_not_applicable():
     rep = sigma_threshold(SQUARE, 1.0, 2.0)
     assert rep.hypotheses.vertical_facets
