@@ -27,7 +27,7 @@ def main():
     print(f"{'anisotropy':<16} {'|W|':>9} {'P_phi':>9} {'c_phi':>9} {'alpha0':>9} flags")
     curves, labels = [], []
     for name, aniso in ANISOS:
-        m = aniso.wulff_measures(4096)
+        m = aniso.wulff_measures()
         f = aniso.symmetry_flags()
         tags = []
         if f.elliptic:

@@ -28,7 +28,6 @@ __all__ = [
     "anisotropy_from_json",
 ]
 
-DEFAULT_MEASURE_SAMPLES = 65536
 DEFAULT_FACE_SAMPLES = 8192
 GENERIC_SAMPLES = 4096
 
@@ -59,7 +58,6 @@ class WulffMeasures:
     phi_perimeter: float
     c_phi: float
     alpha0: float
-    sample_count: int
 
 
 @dataclass(frozen=True)
@@ -143,34 +141,35 @@ def _max_abs_pairing(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarr
 
 
 class Anisotropy:
-    """A gauge on R^2 with cached Wulff-shape geometry.
+    """A gauge on R^2 with Wulff-shape geometry.
 
     Construct through the factory classmethods (:meth:`euclidean`,
     :meth:`ellipse`, :meth:`lp`, :meth:`polygon`, :meth:`generic`) or
     from a JSON descriptor via :func:`anisotropy_from_json`.  Each gauge
     has one kind: ``lp`` holds 1 < q != 2 only, as lp(1) is the diamond
     polygon and lp(2) the Euclidean gauge, and a generic gauge is its
-    inscribed polygon.  Instances are immutable; lazily built caches are
-    written once and are safe for concurrent reads afterwards.
+    inscribed polygon.  Instances are immutable; the one lazily built cache,
+    the face polyline, is written once and safe for concurrent reads afterwards.
     """
 
     def __init__(self, kind: str, **params):
         self.kind = kind
         self._params = params
         self._face_cache: Optional[tuple] = None  # (points, params, total_len, face tol)
-        self._measure_cache: dict[Optional[int], WulffMeasures] = {}
-        self._flags: Optional[SymmetryFlags] = None
         # the semi-axes of a quadratic-form gauge; the Euclidean gauge is the unit ellipse
         self._axes: Optional[tuple[float, float]] = None
         # phi°(r, h) is twice differentiable in r with bounded curvature (h > 0)
         self.smooth_dual = kind in ("euclidean", "ellipse") or (kind == "lp" and params["q"] < 2.0)
         if kind in ("euclidean", "ellipse"):
             self._axes = (1.0, 1.0) if kind == "euclidean" else (params["a"], params["b"])
-            if not all(0.0 < d < math.inf for d in self._axes):
-                raise AnisotropyError("ellipse semi-axes must be finite and positive")
+            if not all(0.0 < d < math.inf and 1.0 / d < math.inf for d in self._axes):
+                raise AnisotropyError("ellipse semi-axes and their reciprocals must be finite "
+                                      "and positive")
         elif kind == "lp":
-            if not 1.0 < params["q"] < math.inf:
-                raise AnisotropyError(f"lp exponent must be finite with q >= 1, got {params['q']}")
+            # |x|^q + |y|^q must stay positive on every unit vector; the diagonal
+            # gives 2^(-q/2), which rounds to 0 from q = 2150 on
+            if not 1.0 < params["q"] < 2150.0:
+                raise AnisotropyError(f"lp exponent must satisfy 1 <= q < 2150, got {params['q']}")
         elif kind == "polygon":
             self._init_polygon(params["vertices"])
         else:
@@ -250,6 +249,7 @@ class Anisotropy:
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
         support = np.einsum("ij,ij->i", vertices, normals)
         self._params["vertices"] = vertices
+        self._poly_area = 0.5 * float(np.sum(cross))
         self._poly_normals = normals
         # the first halves of the centrally symmetric rows of phi and phi°
         self._gauge_rows = (normals / support[:, None])[:half]
@@ -393,42 +393,28 @@ class Anisotropy:
 
     # -- measures and flags ------------------------------------------
 
-    def wulff_measures(self, m: Optional[int] = None) -> WulffMeasures:
-        """|W|, P_phi(W), c_phi and alpha0 from the boundary polyline.
+    def wulff_measures(self) -> WulffMeasures:
+        """|W|, P_phi(W), c_phi and alpha0 of the Wulff shape, in closed form.
 
-        Polygons are computed exactly from their vertices; other kinds
-        use an m-point polyline (m >= 256, default 65536).
+        |W| is pi a b for a quadratic form, 4 Gamma(1 + 1/q)^2 / Gamma(1 + 2/q)
+        for lp(q) and the shoelace sum over the vertices for a polygon.  On
+        the boundary phi°(nu) = <x, nu>, so the divergence theorem gives
+        P_phi(W) = 2 |W| for every gauge; then c_phi = 2 sqrt|W| and
+        alpha0 = 2 sqrt|W| / (4 |W| + 1).
         """
-        if self.kind == "polygon":
-            m = None  # exact, from the vertices
+        if self._axes:
+            area = math.pi * self._axes[0] * self._axes[1]
+        elif self.kind == "lp":
+            q = self._params["q"]
+            area = 4.0 * math.gamma(1.0 + 1.0 / q) ** 2 / math.gamma(1.0 + 2.0 / q)
         else:
-            m = DEFAULT_MEASURE_SAMPLES if m is None else int(m)
-            if m < 256:
-                raise AnisotropyError("wulff_measures requires m >= 256 for non-polygon kinds")
-        if m in self._measure_cache:
-            return self._measure_cache[m]
-        pts = self._params["vertices"] if m is None else self.wulff_sample(m)
-        nxt = np.roll(pts, -1, axis=0)
-        cross = pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]
-        area = 0.5 * float(np.sum(cross))
-        if area <= 0 or np.any(cross < -1e-12):
-            raise GeometryError("degenerate Wulff boundary polyline")
-        edges = nxt - pts
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
-        normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        perimeter = float(np.sum(self.eval_dual_many(normals) * lengths))
-        c_phi = perimeter / math.sqrt(area)
-        alpha0 = perimeter / ((2.0 * perimeter + 1.0) * math.sqrt(area))
-        measures = WulffMeasures(area, perimeter, c_phi, alpha0, len(pts))
-        self._measure_cache[m] = measures
-        return measures
+            area = self._poly_area
+        if not 0.0 < area < math.inf:
+            raise GeometryError(f"Wulff shape area {area!r} is not a positive finite number")
+        root = math.sqrt(area)
+        return WulffMeasures(area, 2.0 * area, 2.0 * root, 2.0 * root / (4.0 * area + 1.0))
 
     def symmetry_flags(self) -> SymmetryFlags:
-        if self._flags is None:
-            self._flags = self._compute_flags()
-        return self._flags
-
-    def _compute_flags(self) -> SymmetryFlags:
         if self._axes:
             a, b = self._axes
             rbar = min(a * a / b, b * b / a)

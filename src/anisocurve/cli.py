@@ -110,8 +110,8 @@ def cmd_wulff(args) -> int:
         "wulff", args.out_dir, [args.anisotropy],
         {"samples": args.samples, "svg": args.svg}, args.quiet,
     )
+    measures = aniso.wulff_measures()
     pts = aniso.wulff_sample(args.samples)
-    measures = aniso.wulff_measures(max(args.samples, 256))
     flags = aniso.symmetry_flags()
     run.phase("geometry")
     write_two_column_csv(run.artifact("wulff_boundary.csv"), "x,y", pts[:, 0], pts[:, 1])

@@ -7,15 +7,11 @@ import numpy as np
 __all__ = ["render_polylines"]
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
+_WIDTH, _HEIGHT = 640, 480
 
 
-def render_polylines(
-    curves: list,
-    width: int = 640,
-    height: int = 480,
-    labels: list | None = None,
-) -> str:
-    """Render closed or open polylines ((k, 2) arrays) into one SVG string."""
+def render_polylines(curves: list, labels: list | None = None) -> str:
+    """Render closed or open polylines ((k, 2) arrays) into one 640 x 480 SVG string."""
     pts = np.vstack([np.asarray(c, dtype=float) for c in curves])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -23,17 +19,17 @@ def render_polylines(
     pad = 0.05 * float(span.max())
     lo, hi = lo - pad, hi + pad
     span = hi - lo
-    scale = min((width - 20) / span[0], (height - 20) / span[1])
+    scale = min((_WIDTH - 20) / span[0], (_HEIGHT - 20) / span[1])
 
     def to_px(c):
         x = 10 + (c[:, 0] - lo[0]) * scale
-        y = height - 10 - (c[:, 1] - lo[1]) * scale
+        y = _HEIGHT - 10 - (c[:, 1] - lo[1]) * scale
         return x, y
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     for k, curve in enumerate(curves):
         x, y = to_px(np.asarray(curve, dtype=float))

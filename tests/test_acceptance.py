@@ -52,7 +52,7 @@ def _criterion4_solution():
 
 def test_criterion_01_euclidean_constants():
     t0 = time.perf_counter()
-    m = EUCLID.wulff_measures(65536)
+    m = EUCLID.wulff_measures()
     errs = [
         abs(m.area - math.pi),
         abs(m.phi_perimeter - 2.0 * math.pi),

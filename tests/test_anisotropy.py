@@ -82,7 +82,7 @@ def test_wulff_sample_ellipse_axis_points():
 
 
 def test_measures_euclidean_golden():
-    m = Anisotropy.euclidean().wulff_measures(65536)
+    m = Anisotropy.euclidean().wulff_measures()
     assert m.area == pytest.approx(math.pi, abs=1e-6)
     assert m.phi_perimeter == pytest.approx(2.0 * math.pi, abs=1e-6)
     assert m.c_phi == pytest.approx(math.sqrt(4.0 * math.pi), abs=1e-6)
@@ -103,17 +103,43 @@ def test_measures_diamond_exact():
     assert m.alpha0 == pytest.approx(4.0 / (9.0 * math.sqrt(2.0)), abs=1e-9)
 
 
-def test_measures_convergence_second_order():
-    e = Anisotropy.ellipse(1.7, 0.8)
-    prev_area = prev_per = None
-    diffs = []
-    for m_samples in (1024, 2048, 4096):
-        m = e.wulff_measures(m_samples)
-        if prev_area is not None:
-            diffs.append((abs(m.area - prev_area), abs(m.phi_perimeter - prev_per)))
-        prev_area, prev_per = m.area, m.phi_perimeter
-    assert diffs[1][0] < 4.0 * diffs[0][0]
-    assert diffs[1][1] < 4.0 * diffs[0][1]
+def _polyline_measures(aniso, m):
+    """The shoelace area and the edge-normal quadrature of P_phi on an m-point
+    boundary polyline, second-order estimates of |W| and P_phi(W)."""
+    pts = aniso.wulff_sample(m)
+    nxt = np.roll(pts, -1, axis=0)
+    area = 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]))
+    edges = nxt - pts
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+    return area, float(np.sum(aniso.eval_dual_many(normals) * lengths))
+
+
+def test_measures_are_exact():
+    for a, b in ((1.0, 1.0), (1.7, 0.8), (2.0, 0.5)):
+        area = Anisotropy.ellipse(a, b).wulff_measures().area
+        assert area == pytest.approx(math.pi * a * b, rel=1e-15, abs=0.0)
+    for q in (1.5, 3.0, 10.0):
+        area = Anisotropy.lp(q).wulff_measures().area
+        closed_form = 4.0 * math.gamma(1.0 + 1.0 / q) ** 2 / math.gamma(1.0 + 2.0 / q)
+        assert area == pytest.approx(closed_form, rel=1e-15, abs=0.0)
+    # the divergence identity P_phi(W) = 2 |W| against the sampled quadrature
+    for aniso in (Anisotropy.ellipse(1.7, 0.8), Anisotropy.lp(1.5), Anisotropy.lp(3.0),
+                  Anisotropy.lp(10.0)):
+        m = aniso.wulff_measures()
+        assert m.phi_perimeter == 2.0 * m.area
+        area, perimeter = _polyline_measures(aniso, 2**20)
+        assert m.area == pytest.approx(area, rel=1e-10, abs=0.0)
+        assert m.phi_perimeter == pytest.approx(perimeter, rel=1e-10, abs=0.0)
+    # polygon areas are the shoelace sum over the vertices, bitwise
+    hexagon = Anisotropy.polygon([[math.cos(t), math.sin(t)]
+                                  for t in 0.2 + math.pi / 3.0 * np.arange(6)])
+    for aniso in (Anisotropy.polygon(SQUARE), Anisotropy.lp(1.0), hexagon):
+        v, w = aniso.vertices, np.roll(aniso.vertices, -1, axis=0)
+        m = aniso.wulff_measures()
+        assert m.area == 0.5 * float(np.sum(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]))
+        assert m.phi_perimeter == 2.0 * m.area
+    assert Anisotropy.euclidean().wulff_measures().area == math.pi
 
 
 # -- symmetry flags -----------------------------------------------------
@@ -166,6 +192,26 @@ def test_exposed_face_contains_dual_argmax():
             arc = aniso.exposed_face(nu)
             val = float(nu @ arc.midpoint)
             assert val >= aniso.eval_dual(nu) - 1e-4
+
+
+def test_normal_contact_point_lp_is_the_support_point():
+    aniso = Anisotropy.lp(3.0)
+    for nu in _random_directions(np.random.default_rng(7), 1000):
+        p = aniso.normal_contact_point(nu)
+        assert abs(aniso.eval(p) - 1.0) <= 1e-14
+        assert abs(float(p @ nu) - aniso.eval_dual(nu)) <= 1e-14
+
+
+def test_normal_contact_point_square_face_wrapping_index_zero():
+    square = Anisotropy.polygon(SQUARE)
+    # the edge from vertex 3 to vertex 0 straddles the arc-length origin
+    arc = square.exposed_face(np.array([1.0, 0.0]))
+    assert arc.wraps and arc.length == 2.0
+    assert arc.endpoints.tolist() == [[1.0, -1.0], [1.0, 1.0]]
+    assert square.normal_contact_point([1.0, 0.0]).tolist() == [1.0, 0.0]
+    assert square.normal_contact_point([0.0, 1.0]).tolist() == [0.0, 1.0]
+    diagonal = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    assert square.normal_contact_point(diagonal).tolist() == [1.0, 1.0]
 
 
 # -- projection ---------------------------------------------------------
@@ -456,6 +502,15 @@ def test_lp1_is_the_diamond_and_lp2_is_euclidean_bitwise():
                             "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}
     assert l2.to_json() == {"kind": "euclidean"}
     assert l1.wulff_measures().area == 2.0
+
+
+def test_lp_exponent_keeps_the_unit_circle_representable():
+    # from q = 2150 on |x|^q + |y|^q underflows to 0 at the diagonal, so the
+    # Wulff boundary sample would divide by zero
+    assert np.isfinite(Anisotropy.lp(2149.0).wulff_sample(4096)).all()
+    for q in (0.5, 2150.0, 1e6, math.inf, math.nan):
+        with pytest.raises(AnisotropyError, match="lp exponent"):
+            Anisotropy.lp(q)
 
 
 @pytest.mark.parametrize("aniso", [Anisotropy.euclidean(), Anisotropy.ellipse(1.0, 1.0)],

@@ -139,6 +139,17 @@ def test_diagnose_command(tmp_path):
     assert report["tangent_ball"]["radius_tested"] == 0.2
 
 
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_svg_option_writes_a_listed_document(tmp_path, command):
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(grid={"n": 16}))
+    out = tmp_path / "out"
+    assert main([command, prob, "--svg", "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    svg = (out / f"{command}.svg").read_text()
+    assert svg.startswith("<svg ") and svg.endswith("</svg>")
+    assert svg.count("<path ") == 2
+    assert f"{command}.svg" in _manifest(out)["artifacts"]
+
+
 def test_rearrange_command(tmp_path):
     cells = np.zeros((4, 6), dtype=bool)
     cells[:, 1] = True
@@ -557,14 +568,20 @@ def test_missing_raster_header_key_exits_two_naming_it(tmp_path, capsys, key):
 @pytest.mark.parametrize("command", [["wulff"], ["threshold", "--p", "1", "--length", "2"]],
                          ids=["wulff", "threshold"])
 def test_degenerate_wulff_shape_exits_two_with_one_line(tmp_path, capsys, command):
-    # valid semi-axes whose Wulff boundary polyline has no representable area
-    tiny = _write_json(tmp_path / "tiny.json", {"kind": "ellipse", "a": 1e-310, "b": 1.0})
-    out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        rc = main([command[0], tiny, *command[1:], "--out-dir", str(out), "--quiet"])
-    assert rc == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err == "error: degenerate Wulff boundary polyline\n"
+    # a semi-axis with an infinite reciprocal, and semi-axes whose area pi a b
+    # underflows to 0 or overflows to inf; pyproject.toml turns any numpy
+    # RuntimeWarning into a failure
+    cases = [
+        (1e-310, 1.0, "ellipse semi-axes and their reciprocals must be finite and positive"),
+        (1e-200, 1e-200, "Wulff shape area 0.0 is not a positive finite number"),
+        (1e200, 1e200, "Wulff shape area inf is not a positive finite number"),
+    ]
+    for a, b, message in cases:
+        aniso = _write_json(tmp_path / "aniso.json", {"kind": "ellipse", "a": a, "b": b})
+        out = tmp_path / "out"
+        rc = main([command[0], aniso, *command[1:], "--out-dir", str(out), "--quiet"])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("p", ["600", "1e6"])

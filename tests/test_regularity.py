@@ -153,6 +153,18 @@ def test_tangent_ball_flat_profile():
     assert rep.radius_tested == 0.7
 
 
+def test_tangent_ball_off_the_euclidean_gauge():
+    grid = Grid(-1, 1, 64)
+    flat = Profile(grid, np.zeros(65))
+    square = Anisotropy.polygon([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+    for aniso in (square, Anisotropy.lp(3.0)):
+        rep = tangent_ball_check(aniso, flat, 0.5)
+        assert rep.fraction_verified_above == rep.fraction_verified_below == 1.0
+    step = Profile(grid, np.where(grid.nodes() > 0, 1.0, 0.0))
+    rep = tangent_ball_check(square, step, 0.5)
+    assert rep.fraction_verified_above == rep.fraction_verified_below == 55 / 65
+
+
 def test_tangent_ball_rejects_bad_radius():
     grid = Grid(-1, 1, 8)
     with pytest.raises(ValueError):
