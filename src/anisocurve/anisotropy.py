@@ -125,19 +125,50 @@ def check_keys(descriptor: dict, required, name: str, optional=()) -> None:
         raise ValueError(f"{name}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _max_abs_pairing(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """max_k |x rows[k, 0] + y rows[k, 1]|, elementwise, one whole-array pass per row.
+def _upper_envelope(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lines r -> a r + b (rows (a, b)) on top of their upper envelope, by slope.
 
-    For the first half of a centrally symmetric set of rows this is the
-    maximum of x r_0 + y r_1 over the whole set.  A zero coefficient drops
-    its product, so axis-aligned rows cost what a closed form does.
+    A stack over the lines sorted by slope, then height, drops every line
+    nowhere strictly on top; its comparisons run on the lines times a power
+    of two, which is exact and keeps their products finite.  Returns the
+    kept slopes s_k, heights c_k and hand-over points (c_k - c_{k+1}) / (s_{k+1} - s_k).
     """
-    out = None
-    for a, b in rows.tolist():
-        t = np.asarray(x * a if b == 0.0 else y * b if a == 0.0 else x * a + y * b)
-        np.abs(t, out=t)
-        out = t if out is None else np.maximum(out, t, out=out)
-    return out
+    exponent = math.frexp(float(np.abs(lines).max()))[1]
+    slopes, heights = [], []
+    for sx, sy in sorted(np.ldexp(lines, -exponent).tolist()):
+        if slopes and sx == slopes[-1]:
+            del slopes[-1], heights[-1]
+        while len(slopes) >= 2 and ((heights[-2] - sy) * (slopes[-1] - slopes[-2])
+                                    <= (heights[-2] - heights[-1]) * (sx - slopes[-2])):
+            del slopes[-1], heights[-1]
+        slopes.append(sx)
+        heights.append(sy)
+    s, c = np.ldexp(slopes, exponent), np.ldexp(heights, exponent)
+    return s, c, (c[:-1] - c[1:]) / (s[1:] - s[:-1])
+
+
+def _support(envelope: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max_k <v_k, (x, y)> over a centrally symmetric point set, from the
+    ``_upper_envelope`` of its lines r -> v_x r + v_y: y times the envelope at
+    r = x / y, whose line a bisection over the hand-over points finds.
+    (x, y) and (-x, -y) share r and, by the symmetry, the absolute value of
+    that line's pairing; y = 0 takes the first line for x < 0, the last for
+    x > 0.  O(log m) per point for m lines.
+    """
+    slopes, heights, handover = envelope
+    with np.errstate(all="ignore"):  # x / 0 bisects as +-inf, 0 / 0 (nan) as the last line
+        r = x / y
+    k = handover.searchsorted(r)
+    return np.abs(slopes[k] * x + heights[k] * y)
+
+
+def _lp_norm(x: np.ndarray, y: np.ndarray, q: float) -> np.ndarray:
+    """(|x|^q + |y|^q)^(1/q) as M (1 + (m / M)^q)^(1/q), with m <= M the two
+    magnitudes, so that no power underflows (at the huge q' of q near 1) or overflows."""
+    ax, ay = np.abs(x), np.abs(y)
+    big, small = np.maximum(ax, ay), np.minimum(ax, ay)
+    ratio = np.divide(small, big, out=np.ones_like(big), where=small < big)
+    return big * (1.0 + ratio**q) ** (1.0 / q)
 
 
 class Anisotropy:
@@ -158,6 +189,9 @@ class Anisotropy:
         self._face_cache: Optional[tuple] = None  # (points, params, total_len, face tol)
         # the semi-axes of a quadratic-form gauge; the Euclidean gauge is the unit ellipse
         self._axes: Optional[tuple[float, float]] = None
+        # a polygon's envelopes of the lines of its vertices (phi°) and polar vertices (phi)
+        self.dual_envelope: Optional[tuple] = None
+        self._gauge_envelope: Optional[tuple] = None
         # phi°(r, h) is twice differentiable in r with bounded curvature (h > 0)
         self.smooth_dual = kind in ("euclidean", "ellipse") or (kind == "lp" and params["q"] < 2.0)
         if kind in ("euclidean", "ellipse"):
@@ -225,8 +259,9 @@ class Anisotropy:
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2 or len(vertices) < 4:
             raise AnisotropyError("polygon needs at least 4 vertices in R^2")
-        if not np.isfinite(vertices).all():
-            raise AnisotropyError("polygon vertices must be finite")
+        if not (np.abs(vertices) < 1e150).all():  # keeps the products below finite
+            raise AnisotropyError("polygon vertex coordinates must be finite and below 1e150 "
+                                  "in magnitude")
         nxt = np.roll(vertices, -1, axis=0)
         cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]
         if np.sum(cross) <= 0:
@@ -251,9 +286,9 @@ class Anisotropy:
         self._params["vertices"] = vertices
         self._poly_area = 0.5 * float(np.sum(cross))
         self._poly_normals = normals
-        # the first halves of the centrally symmetric rows of phi and phi°
-        self._gauge_rows = (normals / support[:, None])[:half]
-        self._dual_rows = vertices[:half]
+        # phi° is the support function of the vertices, phi that of the polar vertices
+        self.dual_envelope = _upper_envelope(vertices)
+        self._gauge_envelope = _upper_envelope(normals / support[:, None])
         self._poly_segments = (*vertices.T, *edges.T)  # start x, y; edge x, y
         self._poly_edge_len2 = np.einsum("ij,ij->i", edges, edges)
 
@@ -272,9 +307,8 @@ class Anisotropy:
             a, b = self._axes
             return np.hypot(x / a, y / b)
         if self.kind == "lp":
-            q = self._params["q"]
-            return (np.abs(x) ** q + np.abs(y) ** q) ** (1.0 / q)
-        return _max_abs_pairing(x, y, self._gauge_rows)
+            return _lp_norm(x, y, self._params["q"])
+        return _support(self._gauge_envelope, x, y)
 
     def eval(self, v) -> float:
         """phi(v); zero iff v = 0."""
@@ -289,9 +323,8 @@ class Anisotropy:
             return np.hypot(x * a, y * b)
         if self.kind == "lp":
             q = self._params["q"]
-            qd = q / (q - 1.0)
-            return (np.abs(x) ** qd + np.abs(y) ** qd) ** (1.0 / qd)
-        return _max_abs_pairing(x, y, self._dual_rows)
+            return _lp_norm(x, y, q / (q - 1.0))
+        return _support(self.dual_envelope, x, y)
 
     def eval_dual(self, v) -> float:
         return float(self.eval_dual_many(_as_vec(v)[None, :])[0])
@@ -326,16 +359,16 @@ class Anisotropy:
         if self.kind == "lp":
             q = self._params["q"]
             qd = q / (q - 1.0)
-            delta2 = (eps * h) ** 2
-            t = r * r + delta2
-            tp = t ** (0.5 * qd - 2.0)
-            rho, rho1 = t * t * tp, qd * r * t * tp  # (r^2 + delta^2)^(q'/2), d/dr
-            rho2 = qd * ((qd - 1.0) * r * r + delta2) * tp
-            big = rho + h**qd
-            f = big ** (1.0 / qd)
-            c = f / (qd * big)
-            f2 = c * (rho2 - (1.0 - 1.0 / qd) * rho1 * rho1 / big)
-            return f, c * rho1, f2, f * h ** (qd - 1.0) / big
+            # the lp(q') norm of (a, h), a = sqrt(r^2 + delta^2), in units of max(a, h)
+            a = np.hypot(r, eps * h)
+            m = np.maximum(a, h)
+            ra, rh = a / m, h / m
+            pa, ph = ra ** (qd - 1.0), rh ** (qd - 1.0)
+            s = pa * ra + ph * rh  # (a^q' + h^q') / m^q', in [1, 2]
+            root = s ** (1.0 / qd)
+            ga, gh = pa * root / s, ph * root / s  # the gradient (a, h)^(q'-1) / f^(q'-1)
+            f2 = ga / a * ((qd - 1.0) * gh * rh / root * (r / a) ** 2 + (eps * h / a) ** 2)
+            return m * root, ga * r / a, f2, gh
         vx, vy = self._params["vertices"].T
         temp = eps * h
         z = np.multiply.outer(r, vx / temp) + vy / eps
@@ -497,9 +530,9 @@ class Anisotropy:
         if self.kind == "lp":
             q = self._params["q"]
             qd = q / (q - 1.0)
-            denom = (abs(nu[0]) ** qd + abs(nu[1]) ** qd) ** (1.0 / qd)
-            w = nu / denom
-            return np.sign(w) * np.abs(w) ** (qd - 1.0)
+            # grad phi°(nu) in units of max|nu_i|, so that no power of q' underflows
+            ratio = np.abs(nu) / np.abs(nu).max()
+            return np.sign(nu) * ratio ** (qd - 1.0) * np.sum(ratio**qd) ** (-1.0 / q)
         arc = self.exposed_face(nu)
         return 0.5 * (arc.endpoints[0] + arc.endpoints[1])
 

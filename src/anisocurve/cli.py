@@ -27,7 +27,7 @@ from .classifier import cahn_hoffman
 from .energy import IngestionError, read_profile_csv, write_profile_csv, write_two_column_csv
 from .geometry import column_heights, read_raster, vertical_rearrangement, write_raster
 from .problem import load_problem
-from .regularity import (check_tangent_ball_options, lipschitz_report, refinement_study,
+from .regularity import (check_tangent_ball_radius, lipschitz_report, refinement_study,
                          tangent_ball_check)
 from .solver import SolverDivergenceError, solve
 from .svg import render_polylines
@@ -182,10 +182,10 @@ def cmd_solve(args) -> int:
 
 def cmd_diagnose(args) -> int:
     problem = load_problem(args.problem)
-    check_tangent_ball_options(args.radius, args.tol)  # fail before the study runs
+    check_tangent_ball_radius(args.radius)  # fail before the study runs
     run = _Run(
         "diagnose", args.out_dir, [args.problem],
-        {**problem.to_json(), "levels": args.levels, "radius": args.radius, "tol": args.tol},
+        {**problem.to_json(), "levels": args.levels, "radius": args.radius},
         args.quiet,
     )
     g = problem.g_samples()
@@ -197,7 +197,7 @@ def cmd_diagnose(args) -> int:
     report = study.base_report
     run.phase("solve")
     lip = lipschitz_report(report.profile, g)
-    ball = tangent_ball_check(problem.aniso, report.profile, args.radius, args.tol)
+    ball = tangent_ball_check(problem.aniso, report.profile, args.radius)
     run.phase("diagnostics")
     refinement = {f"refinement_{key}": value for key, value in asdict(study).items()
                   if key != "base_report"}
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--radius", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--svg", action="store_true")
     common(p)
     p.set_defaults(func=cmd_diagnose)

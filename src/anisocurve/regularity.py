@@ -38,6 +38,7 @@ JUMP_EXCESS_DECAY = 0.75
 JUMP_FRACTION = 0.125  # the probed jump, as a fraction of the datum's range
 FLAT_SLOPE = 1e-9  # slope maxima below this count as a flat profile
 MAX_PRINCIPLE_TOL = 1e-6  # lipschitz_report: how far u may leave the datum's range
+BALL_TOL_CELLS = 5.0  # tangent_ball_check: a ball may overlap the graph by this many h
 
 
 @dataclass(frozen=True)
@@ -188,31 +189,22 @@ def _graph_obstacles(u: Profile) -> np.ndarray:
     return np.vstack(pts)
 
 
-def check_tangent_ball_options(r: float, tol: Optional[float]) -> None:
-    """ValueError unless r is finite and positive and tol is None or finite and nonnegative."""
+def check_tangent_ball_radius(r: float) -> None:
+    """ValueError unless the tangent ball radius r is finite and positive."""
     if finite_number(r, "tangent ball radius") <= 0:
         raise ValueError(f"tangent ball radius must be positive, got {r!r}")
-    if tol is not None and finite_number(tol, "tangent ball tolerance") < 0:
-        raise ValueError(f"tangent ball tolerance must be nonnegative, got {tol!r}")
 
 
-def tangent_ball_check(
-    aniso: Anisotropy,
-    u: Profile,
-    r: float,
-    tol: Optional[float] = None,
-) -> TangentBallReport:
+def tangent_ball_check(aniso: Anisotropy, u: Profile, r: float) -> TangentBallReport:
     """Uniform tangent Wulff-ball verification at every graph vertex.
 
     For each vertex, translated Wulff shapes of radius r are placed
     tangentially above and below along the vertex normal; the fraction
-    of vertices whose ball avoids the graph (within tol, default 5h)
-    is reported per side.  r and tol must pass
-    :func:`check_tangent_ball_options`.
+    of vertices whose ball avoids the graph (within 5h) is reported per
+    side.  r must pass :func:`check_tangent_ball_radius`.
     """
-    check_tangent_ball_options(r, tol)
-    h = u.grid.h
-    tol = 5.0 * h if tol is None else tol
+    check_tangent_ball_radius(r)
+    tol = BALL_TOL_CELLS * u.grid.h
     nodes = u.grid.nodes()
     vertices = np.column_stack([nodes, u.values])
     edge_nu = edge_unit_normals(u)

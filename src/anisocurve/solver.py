@@ -9,6 +9,9 @@ term per node.  :func:`solve` picks the method from the input:
 
 - a polygon gauge takes :func:`_solve_chain`, built on an exact
   dynamic-programming sweep along the chain (:func:`_chain_sweep`).
+  The edge term's slope levels and kinks come from the upper envelope
+  of the vertex lines that the gauge builds once, the same envelope
+  that evaluates phi°.
   With a piecewise-linear edge term and a fidelity that is linear or
   quadratic in each unknown, each message of the forward pass is a
   convex piecewise-linear or piecewise-quadratic function, kept
@@ -231,7 +234,10 @@ def _solve_chain(
     """
     if not np.isfinite(g).all():
         raise SolverDivergenceError(1)
-    levels, kinks, tops = _edge_envelope(aniso.vertices, grid.h)
+    # psi(r) = phi°(r, h) = max_k s_k r + c_k h over the gauge's envelope: psi(-t) has
+    # slopes -s_m < ... < -s_1 and kinks at -h times the hand-over points
+    s, c, _ = aniso.dual_envelope
+    levels, kinks = -s[::-1], -(grid.h * (c[:-1] - c[1:]) / (s[1:] - s[:-1]))[::-1]
     w = trapezoid_weights(grid)
     if p in (1.0, 2.0):
         u = _chain_sweep(levels, kinks, g, w, p == 2.0)
@@ -242,12 +248,8 @@ def _solve_chain(
     ridge = _RIDGE * float(np.abs(levels).max()) / scale
 
     def edges(u: np.ndarray) -> float:
-        # psi(-t) for t = u_{i+1} - u_i: linear between the kinks, and along
-        # the first and last slope beyond them
-        t = np.diff(u)
-        ends = np.maximum(tops[0] + levels[0] * (t - kinks[0]),
-                          tops[-1] + levels[-1] * (t - kinks[-1]))
-        return float(np.maximum(np.interp(t, kinks, tops), ends).sum())
+        t = np.diff(u)  # psi(-t) for t = u_{i+1} - u_i
+        return float(aniso.eval_dual_many(np.column_stack([-t, np.full_like(t, grid.h)])).sum())
 
     def fidelity(u: np.ndarray, eps: float):
         fid, dfid, ddfid = _smoothed_power(u - g, p, eps * scale)
@@ -324,15 +326,16 @@ def _chain_sweep(
 
         M_j(y) = W_j |y - c_j|^q + min_x [M_{j-1}(x) + psi(x - y)],
 
-    with psi(r) = phi°(r, h) convex and piecewise linear, given by the
-    ``levels`` and ``kinks`` of :func:`_edge_envelope`.  Each M_j is
+    with psi(r) = phi°(r, h) convex and piecewise linear, given by its
+    ``levels`` and ``kinks``, which :func:`_solve_chain` reads off the
+    gauge's ``dual_envelope``.  Each M_j is
     convex, and its derivative is stored as a nondecreasing polyline of
     points (x, M_j'(x)) with tails of slope 0 (q = 1) or 2 W_j (q = 2):
     a staircase for q = 1, a continuous curve for q = 2.  The fidelity
     step adds W_j sign(x - c_j), a jump of 2 W_j at c_j, or 2 W_j (x - c_j).
     The edge step is the inf-convolution with psi(-.), whose slope levels
-    sigma_1 < ... < sigma_m and kinks tau_1 < ... < tau_{m-1} come from
-    :func:`_edge_envelope`: the part of the curve between its crossings of
+    sigma_1 < ... < sigma_m and kinks tau_1 < ... < tau_{m-1} are those
+    of the gauge's envelope: the part of the curve between its crossings of
     sigma_i and sigma_{i+1} moves along x by tau_i, flat pieces at the
     levels join the parts, and the curve is clipped to [sigma_1, sigma_m].
     The first crossing X_i of every level is kept per node, and the
@@ -396,31 +399,6 @@ def _chain_sweep(
         u.append(max(row[0], *(min(y - kink_list[i], row[i + 1])
                                for i in range(max(k - 2, 0), min(k + 2, len(meets))))))
     return np.array(u[::-1])
-
-
-def _edge_envelope(vertices: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slope levels and kinks of psi(-t), for psi(r) = phi°(r, h) = max_k <v_k, (r, h)>.
-
-    psi is the upper envelope of the vertex lines r -> v_x r + v_y h: a
-    stack over the lines sorted by slope keeps those that reach the top,
-    m <= K/2 + 1 of them for K vertices.  With slopes s_1 < ... < s_m and
-    kinks b_1 < ... < b_{m-1}, psi(-t) has slopes -s_m < ... < -s_1 and
-    kinks -b_{m-1} < ... < -b_1.  The third result is psi(-t) at those
-    kinks, so the three give psi(-t) for every t.
-    """
-    slopes, heights = [], []
-    for sx, sy in sorted(vertices.tolist()):  # by slope, then height
-        if slopes and sx == slopes[-1]:
-            del slopes[-1], heights[-1]
-        # drop the last line while it is nowhere strictly on top
-        while len(slopes) >= 2 and ((heights[-2] - sy) * (slopes[-1] - slopes[-2])
-                                    <= (heights[-2] - heights[-1]) * (sx - slopes[-2])):
-            del slopes[-1], heights[-1]
-        slopes.append(sx)
-        heights.append(sy)
-    s, c = np.array(slopes), np.array(heights)
-    kinks = h * (c[:-1] - c[1:]) / (s[1:] - s[:-1])
-    return -s[::-1], -kinks[::-1], (s[:-1] * kinks + h * c[:-1])[::-1]
 
 
 def _level_crossings(
@@ -557,29 +535,25 @@ def brute_force_oracle(
 ) -> Profile:
     """Independent minimizer for tiny grids: lattice minimum + refinement.
 
-    Nodal values are quantized to ``_ORACLE_LEVELS`` points in the window
-    [-||g||_inf, ||g||_inf], and the exact minimum over that lattice is
-    found by dynamic programming along the chain; the lattice optimum is
-    then polished by a shrinking full cross-product pattern search inside
-    the window.  The pattern includes every diagonal move, which matters:
-    the energy is piecewise linear for crystalline gauges with p = 1, and
-    purely coordinate-wise refinement stalls at nonsmooth corners there.
-
-    The window holds a minimizer when the gauge is mirror-symmetric,
-    phi°(-r, h) = phi°(r, h), by the maximum principle.  Under any other
-    gauge a minimizer can leave it, and the result is then the minimum
-    over the window only: on the rotated hexagon with n = 1, p = 2 and
-    g = (0.0806, 0.3672) the minimizer has u_1 = 0.4266 and an energy
-    0.4% below the oracle's.
+    Since u = g is admissible and every term is nonnegative, a minimizer
+    has w_j |u_j - g_j|^p <= E(g) at each node, so every minimizer lies in
+    the window [min_j (g_j - R_j), max_j (g_j + R_j)] with
+    R_j = (E(g) / w_j)^(1/p), under any gauge.  Nodal values are
+    quantized to ``_ORACLE_LEVELS`` points in that window, and the exact
+    minimum over that lattice is found by dynamic programming along the
+    chain; the lattice optimum is then polished by a shrinking full
+    cross-product pattern search inside the window.  The pattern includes
+    every diagonal move, which matters: the energy is piecewise linear for
+    crystalline gauges with p = 1, and purely coordinate-wise refinement
+    stalls at nonsmooth corners there.
     """
     if grid.n_cells > 4:
         raise ValueError("brute_force_oracle handles n_cells <= 4 only")
     g = np.asarray(g, dtype=float)
-    bound = float(np.max(np.abs(g)))
-    if bound == 0.0:
-        return Profile(grid, np.zeros(grid.n_cells + 1))
-    axis = np.linspace(-bound, bound, _ORACLE_LEVELS)
-    vals = _pattern_refine(aniso, grid, g, p, _lattice_minimum(aniso, grid, g, p, axis), bound)
+    reach = (energy(aniso, Profile(grid, g), g, p).total / trapezoid_weights(grid)) ** (1.0 / p)
+    window = (float(np.min(g - reach)), float(np.max(g + reach)))
+    axis = np.linspace(*window, _ORACLE_LEVELS)
+    vals = _pattern_refine(aniso, grid, g, p, _lattice_minimum(aniso, grid, g, p, axis), window)
     return Profile(grid, vals)
 
 
@@ -618,7 +592,7 @@ def _pattern_refine(
     g: np.ndarray,
     p: float,
     vals: np.ndarray,
-    bound: float,
+    window: tuple[float, float],
 ) -> np.ndarray:
     """Shrinking cross-product pattern search around the lattice optimum.
 
@@ -634,15 +608,16 @@ def _pattern_refine(
     center_row = int(np.flatnonzero(np.all(pattern == 0.0, axis=1))[0])
 
     center = vals.copy()
-    w = 2.0 * bound / (_ORACLE_LEVELS - 1)
+    lo, hi = window
+    w = (hi - lo) / (_ORACLE_LEVELS - 1)
     for _ in range(2000):  # a bound only: the width falls below rounding first
-        block = np.clip(center[None, :] + w * pattern, -bound, bound)
+        block = np.clip(center[None, :] + w * pattern, lo, hi)
         totals = energy_totals(aniso, block, g, p, grid)
         k = int(np.argmin(totals))
         if totals[k] < totals[center_row]:
             center = block[k].copy()
         else:
             w *= 0.5
-            if w < 1e-13 * (1.0 + bound):
+            if w < 1e-13 * (1.0 + max(abs(lo), abs(hi))):
                 break
     return center

@@ -191,8 +191,8 @@ def test_criterion_09_rearrangement_inequality():
 
 def test_criterion_10_tangent_ball():
     t0 = time.perf_counter()
-    grid, _, rep = _criterion4_solution()
-    ball = tangent_ball_check(EUCLID, rep.profile, 0.5, 5.0 * grid.h)
+    _, _, rep = _criterion4_solution()
+    ball = tangent_ball_check(EUCLID, rep.profile, 0.5)
     step_grid = Grid(-1, 1, 256)
     step = Profile(step_grid, np.where(step_grid.nodes() > 0, 1.0, 0.0))
     step_ball = tangent_ball_check(EUCLID, step, 0.5)

@@ -602,3 +602,90 @@ def test_generic_rejects_non_finite_or_non_positive_values():
     for value in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(AnisotropyError):
             Anisotropy.generic(lambda x, y, value=value: value)
+
+
+def _vectors_with_zeros():
+    rng = np.random.default_rng(13)
+    v = rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1))
+    v[:100, 1] = 0.0
+    v[100:200, 0] = 0.0
+    v[200:203] = [[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0]]
+    return v
+
+
+@pytest.mark.parametrize("aniso", [
+    Anisotropy.polygon(SQUARE),
+    Anisotropy.polygon(_regular_polygon(6, 0.2)),
+    Anisotropy.generic(lambda x, y: (abs(x) ** 3 + 0.5 * abs(y) ** 3) ** (1.0 / 3.0)),
+], ids=["square", "hexagon", "generic"])
+def test_polygon_kernels_are_the_maximum_over_all_vertices(aniso):
+    # phi° is the largest pairing with a vertex, phi the largest with a polar vertex
+    vertices = aniso.vertices
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / np.hypot(*edges.T)[:, None]
+    polar = normals / np.einsum("ij,ij->i", vertices, normals)[:, None]
+    v = _vectors_with_zeros()
+    x, y = v[:, :1], v[:, 1:]
+    dual = (x * vertices[:, 0] + y * vertices[:, 1]).max(axis=1)
+    gauge = (x * polar[:, 0] + y * polar[:, 1]).max(axis=1)
+    if len(vertices) == 4:
+        assert np.array_equal(aniso.eval_dual_many(v), dual)
+        assert np.array_equal(aniso.eval_many(v), gauge)
+    np.testing.assert_allclose(aniso.eval_dual_many(v), dual, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(aniso.eval_many(v), gauge, rtol=1e-15, atol=0.0)
+
+
+def test_lp_near_one_stays_finite_on_unit_vectors():
+    # q' = q / (q - 1) = 10001, so an unscaled |x|^q' underflows to 0
+    q = 1.0001
+    qd = q / (q - 1.0)
+    aniso = Anisotropy.lp(q)
+    diagonal = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
+    assert aniso.eval_dual_many(diagonal)[0] == pytest.approx(
+        2.0 ** (1.0 / qd) / math.sqrt(2.0), rel=1e-15, abs=0.0)
+    point = aniso.normal_contact_point([1.0, 1.0])
+    assert np.isfinite(point).all()
+    assert aniso.eval(point) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    nus = _random_directions(np.random.default_rng(4), 500)
+    points = np.array([aniso.normal_contact_point(nu) for nu in nus])
+    np.testing.assert_allclose(aniso.eval_many(points), 1.0, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", points, nus), aniso.eval_dual_many(nus),
+                               rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0])
+def test_lp_kernels_match_the_unscaled_power_sums(q):
+    qd = q / (q - 1.0)
+    v = np.abs(_vectors_with_zeros()[203:])
+    x, y = v[:, 0], v[:, 1]
+    aniso = Anisotropy.lp(q)
+    np.testing.assert_allclose(aniso.eval_many(v), (x**q + y**q) ** (1.0 / q),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(aniso.eval_dual_many(v), (x**qd + y**qd) ** (1.0 / qd),
+                               rtol=1e-15, atol=0.0)
+    r, h = np.linspace(-3.0, 3.0, 101), 0.05
+    for eps in (1e-2, 1e-10):
+        t = r * r + (eps * h) ** 2
+        big = t ** (0.5 * qd) + h**qd
+        f = big ** (1.0 / qd)
+        got = aniso.smoothed_dual(r, h, eps)
+        for value, unscaled in zip((got[0], got[1], got[3]),
+                                   (f, f * r * t ** (0.5 * qd - 1.0) / big,
+                                    f * h ** (qd - 1.0) / big)):
+            np.testing.assert_allclose(value, unscaled, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e140])
+def test_polygon_kernels_hold_at_extreme_scales(scale):
+    # the polar vertices of a tiny polygon are huge, and products of their
+    # coordinates overflow unless the envelope rescales them
+    octagon = np.array([[1, .4], [.4, 1], [-.4, 1], [-1, .4], [-1, -.4], [-.4, -1], [.4, -1],
+                        [1, -.4]]) * scale
+    aniso = Anisotropy.polygon(octagon)
+    edges = np.roll(octagon, -1, axis=0) - octagon
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / np.hypot(*edges.T)[:, None]
+    polar = normals / np.einsum("ij,ij->i", octagon, normals)[:, None]
+    v = _vectors_with_zeros()
+    np.testing.assert_allclose(aniso.eval_dual_many(v), (v @ octagon.T).max(axis=1),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(aniso.eval_many(v), (v @ polar.T).max(axis=1), rtol=1e-15, atol=0.0)

@@ -222,6 +222,13 @@ def test_solve_divergence_on_nonfinite_datum():
     assert excinfo.value.iteration >= 1
 
 
+def test_solve_rejects_a_datum_of_the_wrong_shape():
+    grid = Grid(-1, 1, 8)
+    for g in (np.zeros(8), np.zeros(10), np.zeros((9, 1))):
+        with pytest.raises(ValueError, match="datum samples must match the grid nodes"):
+            solve(EUCLID, grid, g, 1.0)
+
+
 def test_solve_matches_c11_minimizer():
     a = 0.05
     grid = Grid(-1, 1, 512)
@@ -381,6 +388,17 @@ def test_newton_final_step_is_converged_to_rounding():
         assert abs(up - down) / (2 * step) <= 1e-6
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_newton_on_lp_near_one(p):
+    # q' = 201: unscaled, h^q' underflows and smoothed_dual divides 0 by 0
+    grid = Grid(-1, 1, 256)
+    g = GSpec.step(0.3).sample(grid)
+    rep = solve(Anisotropy.lp(1.005), grid, g, p)
+    assert rep.converged and rep.method == "newton"
+    assert np.isfinite(rep.profile.values).all()
+    assert rep.energy.total <= energy(Anisotropy.lp(1.005), Profile(grid, g), g, p).total
+
+
 # -- exact chain sweep --------------------------------------------------
 
 
@@ -425,7 +443,6 @@ def test_chain_energy_not_above_the_lattice_bound(gauge, p):
 
 def test_chain_agrees_with_oracle_small_instances():
     rng = np.random.default_rng(23)
-    checked = 0
     for k in range(12):
         n = int(rng.integers(1, 5))
         aniso = (SQUARE, HEXAGON)[k % 2]
@@ -435,13 +452,7 @@ def test_chain_agrees_with_oracle_small_instances():
         o = brute_force_oracle(aniso, grid, g, p)
         eo = float(energy_totals(aniso, o.values[None, :], g, p, grid)[0])
         rep = solve(aniso, grid, g, p)
-        assert rep.energy.total <= eo + 1e-9 * (1.0 + eo)
-        # the oracle searches [-|g|_inf, |g|_inf] only, which the hexagon's
-        # minimizer can leave (see the maximum principle test below)
-        if np.max(np.abs(rep.profile.values)) <= np.max(np.abs(g)):
-            checked += 1
-            assert rep.energy.total >= eo - 1e-9 * (1.0 + eo)
-    assert checked >= 8
+        assert abs(rep.energy.total - eo) <= 1e-9 * (1.0 + eo)
 
 
 def test_chain_is_bitwise_deterministic_and_reports_one_sweep():
