@@ -10,7 +10,6 @@ defined here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -107,6 +106,13 @@ def finite_number(value, name: str) -> float:
     return float(value)
 
 
+def positive_number(value, name: str) -> float:
+    """value as a float if it is a finite JSON number above 0 (not a bool), else ValueError."""
+    if finite_number(value, name) <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
 def positive_integer(value, name: str) -> int:
     """value if it is an integer >= 1 (not a bool), else ValueError."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
@@ -200,10 +206,8 @@ class Anisotropy:
                 raise AnisotropyError("ellipse semi-axes and their reciprocals must be finite "
                                       "and positive")
         elif kind == "lp":
-            # |x|^q + |y|^q must stay positive on every unit vector; the diagonal
-            # gives 2^(-q/2), which rounds to 0 from q = 2150 on
-            if not 1.0 < params["q"] < 2150.0:
-                raise AnisotropyError(f"lp exponent must satisfy 1 <= q < 2150, got {params['q']}")
+            if not 1.0 < params["q"] < math.inf:
+                raise AnisotropyError(f"lp exponent must be finite with q >= 1, got {params['q']}")
         elif kind == "polygon":
             self._init_polygon(params["vertices"])
         else:
@@ -675,9 +679,7 @@ _JSON_FIELDS = {"euclidean": (), "ellipse": ("a", "b"), "lp": ("q",), "polygon":
 
 
 def anisotropy_from_json(descriptor) -> Anisotropy:
-    """Build an anisotropy from its JSON descriptor (dict or JSON string)."""
-    if isinstance(descriptor, str):
-        descriptor = json.loads(descriptor)
+    """Build an anisotropy from its parsed JSON descriptor."""
     if not isinstance(descriptor, dict):
         raise AnisotropyError("anisotropy descriptor must be a JSON object")
     if "kind" not in descriptor:

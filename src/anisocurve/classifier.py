@@ -71,48 +71,31 @@ def cahn_hoffman(aniso: Anisotropy, u: Profile) -> CahnHoffmanResult:
         warning = "anisotropy is not partially monotone; the characterization is heuristic"
 
     en = edge_normals(u)
-    all_normals = (
-        np.vstack([en.normals, en.limit_normals]) if len(en.limit_normals) else en.normals
-    )
+    all_normals = np.vstack([en.normals, en.limit_normals])
     # deduplicate normals: identical edges contribute the same face
     rounded = np.round(all_normals, 12)
     _, unique_idx = np.unique(rounded, axis=0, return_index=True)
     unique_idx.sort()
 
-    running = None
-    masks = {}
+    running = True
+    seen = []  # (index, face mask) of the faces intersected so far
     witness_pair = None
     for j in unique_idx:
         mask = aniso.face_mask(all_normals[j])
-        masks[j] = mask
-        if running is None:
-            running = mask.copy()
-            continue
-        new_running = running & mask
-        if not new_running.any():
-            # find an earlier face disjoint from this one for the witness
-            for i in unique_idx:
-                if i == j:
-                    break
-                if not (masks[i] & mask).any():
-                    witness_pair = (int(i), int(j))
-                    break
-            # pairwise-overlapping faces with empty joint intersection leave
-            # witness_pair as None; feasibility is still decided by the run
-            return CahnHoffmanResult(
-                feasible=False,
-                witness_arc=None,
-                infeasibility_witness=witness_pair,
-                monotone=_monotone_class(u.edge_differences()),
-                hypothesis_warning=warning,
-            )
-        running = new_running
+        running = running & mask
+        if not running.any():
+            # the first earlier face disjoint from this one; pairwise-overlapping
+            # faces with an empty joint intersection leave witness_pair as None
+            witness_pair = next(((int(i), int(j)) for i, earlier in seen
+                                 if not (earlier & mask).any()), None)
+            break
+        seen.append((j, mask))
 
-    arc = aniso._arc_from_mask(running)
+    feasible = bool(running.any())
     return CahnHoffmanResult(
-        feasible=True,
-        witness_arc=arc,
-        infeasibility_witness=None,
+        feasible=feasible,
+        witness_arc=aniso._arc_from_mask(running) if feasible else None,
+        infeasibility_witness=witness_pair,
         monotone=_monotone_class(u.edge_differences()),
         hypothesis_warning=warning,
     )

@@ -22,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anisotropy import Anisotropy, AnisotropyError, GeometryError, anisotropy_from_json
+from .anisotropy import (Anisotropy, AnisotropyError, GeometryError, anisotropy_from_json,
+                         positive_number)
 from .classifier import cahn_hoffman
 from .energy import IngestionError, read_profile_csv, write_profile_csv, write_two_column_csv
 from .geometry import column_heights, read_raster, vertical_rearrangement, write_raster
 from .problem import load_problem
-from .regularity import (check_tangent_ball_radius, lipschitz_report, refinement_study,
-                         tangent_ball_check)
+from .regularity import lipschitz_report, refinement_study, tangent_ball_check
 from .solver import SolverDivergenceError, solve
 from .svg import render_polylines
 from .threshold import sigma_threshold
@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
 
 def cmd_diagnose(args) -> int:
     problem = load_problem(args.problem)
-    check_tangent_ball_radius(args.radius)  # fail before the study runs
+    positive_number(args.radius, "tangent ball radius")  # fail before the study runs
     run = _Run(
         "diagnose", args.out_dir, [args.problem],
         {**problem.to_json(), "levels": args.levels, "radius": args.radius},

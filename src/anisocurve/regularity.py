@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anisotropy import Anisotropy, finite_number
+from .anisotropy import Anisotropy, positive_number
 from .energy import Grid, Profile, energy
 from .solver import SolveReport, SolverConfig, solve
 
@@ -189,21 +189,15 @@ def _graph_obstacles(u: Profile) -> np.ndarray:
     return np.vstack(pts)
 
 
-def check_tangent_ball_radius(r: float) -> None:
-    """ValueError unless the tangent ball radius r is finite and positive."""
-    if finite_number(r, "tangent ball radius") <= 0:
-        raise ValueError(f"tangent ball radius must be positive, got {r!r}")
-
-
 def tangent_ball_check(aniso: Anisotropy, u: Profile, r: float) -> TangentBallReport:
     """Uniform tangent Wulff-ball verification at every graph vertex.
 
     For each vertex, translated Wulff shapes of radius r are placed
     tangentially above and below along the vertex normal; the fraction
     of vertices whose ball avoids the graph (within 5h) is reported per
-    side.  r must pass :func:`check_tangent_ball_radius`.
+    side.  r must be a finite positive number.
     """
-    check_tangent_ball_radius(r)
+    positive_number(r, "tangent ball radius")
     tol = BALL_TOL_CELLS * u.grid.h
     nodes = u.grid.nodes()
     vertices = np.column_stack([nodes, u.values])

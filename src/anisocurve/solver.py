@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anisotropy import Anisotropy, finite_number, positive_integer
+from .anisotropy import Anisotropy, positive_integer, positive_number
 from .energy import (EnergyBreakdown, Grid, Profile, check_fidelity_exponent, energy,
                      energy_totals, trapezoid_weights)
 
@@ -117,8 +117,7 @@ class SolverConfig:
 
     def __post_init__(self):
         positive_integer(self.max_iters, "solver max_iters")
-        if finite_number(self.tol_rel, "solver tol_rel") <= 0:
-            raise ValueError(f"solver tol_rel must be positive, got {self.tol_rel!r}")
+        positive_number(self.tol_rel, "solver tol_rel")
 
 
 @dataclass(frozen=True)
@@ -236,8 +235,8 @@ def _solve_chain(
         raise SolverDivergenceError(1)
     # psi(r) = phi°(r, h) = max_k s_k r + c_k h over the gauge's envelope: psi(-t) has
     # slopes -s_m < ... < -s_1 and kinks at -h times the hand-over points
-    s, c, _ = aniso.dual_envelope
-    levels, kinks = -s[::-1], -(grid.h * (c[:-1] - c[1:]) / (s[1:] - s[:-1]))[::-1]
+    s, _, handover = aniso.dual_envelope
+    levels, kinks = -s[::-1], -(grid.h * handover)[::-1]
     w = trapezoid_weights(grid)
     if p in (1.0, 2.0):
         u = _chain_sweep(levels, kinks, g, w, p == 2.0)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .anisotropy import Anisotropy, SymmetryFlags, finite_number
+from .anisotropy import Anisotropy, SymmetryFlags, positive_number
 from .energy import check_fidelity_exponent
 
 __all__ = [
@@ -65,11 +65,6 @@ class LinfCheck:
     gamma_lower_bound: float
 
 
-def _check_interval_length(length: float) -> None:
-    if finite_number(length, "interval length") <= 0:
-        raise ValueError(f"interval length must be positive, got {length!r}")
-
-
 def _classify(flags: SymmetryFlags) -> str:
     if flags.partially_monotone and not flags.vertical_facets:
         return "c11" if flags.elliptic else "lipschitz"
@@ -79,7 +74,7 @@ def _classify(flags: SymmetryFlags) -> str:
 def _smallness(aniso: Anisotropy, interval_length: float):
     """The Wulff measures, phi(e1), phi(e2) and the least of the three branches
     alpha0 phi(e1) / 4, alpha0 / (2 phi(e2)) and |I| phi(e1) / (4 phi(e2))."""
-    _check_interval_length(interval_length)
+    positive_number(interval_length, "interval length")
     measures = aniso.wulff_measures()
     phi_e1 = aniso.eval(E1)
     phi_e2 = aniso.eval(E2)
@@ -141,8 +136,7 @@ def linf_hypothesis_check(
     Also exposes the uniform contact-ball radius cap alpha0 / Lambda and
     the strip half-height lower bound alpha0 phi(e1) / (2 Lambda).
     """
-    if finite_number(lam, "lambda") <= 0:
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+    positive_number(lam, "lambda")
     measures, phi_e1, _, branch = _smallness(aniso, interval_length)
     bound = branch / lam
     return LinfCheck(

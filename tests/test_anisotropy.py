@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from anisocurve import Anisotropy, AnisotropyError, anisotropy_from_json
+from anisocurve import (Anisotropy, AnisotropyError, Grid, anisotropy_from_json,
+                        sigma_threshold, solve)
 
 SQUARE = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
 
@@ -504,13 +505,21 @@ def test_lp1_is_the_diamond_and_lp2_is_euclidean_bitwise():
     assert l1.wulff_measures().area == 2.0
 
 
-def test_lp_exponent_keeps_the_unit_circle_representable():
-    # from q = 2150 on |x|^q + |y|^q underflows to 0 at the diagonal, so the
-    # Wulff boundary sample would divide by zero
-    assert np.isfinite(Anisotropy.lp(2149.0).wulff_sample(4096)).all()
-    for q in (0.5, 2150.0, 1e6, math.inf, math.nan):
-        with pytest.raises(AnisotropyError, match="lp exponent"):
-            Anisotropy.lp(q)
+def test_lp_accepts_every_finite_exponent_above_one():
+    # _lp_norm divides out the larger magnitude, so no power underflows at any
+    # finite q; pyproject.toml turns any numpy RuntimeWarning into a failure
+    grid = Grid(-1.0, 1.0, 64)
+    g = np.where(grid.nodes() > 0, 0.3, -0.3)
+    for q in (2150.0, 1e4, 1e6, 1e300):
+        aniso = Anisotropy.lp(q)
+        assert np.isfinite(aniso.wulff_sample(4096)).all()
+        assert 3.99999 < aniso.wulff_measures().area <= 4.0  # the square's area, as q -> inf
+        assert sigma_threshold(aniso, 1.5, 2.0).sigma == pytest.approx(0.0727143, rel=1e-5)
+        for p in (1.0, 1.5, 2.0):
+            assert solve(aniso, grid, g, p).converged
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(AnisotropyError, match="lp exponent must be finite with q >= 1"):
+            Anisotropy.lp(bad)
 
 
 @pytest.mark.parametrize("aniso", [Anisotropy.euclidean(), Anisotropy.ellipse(1.0, 1.0)],

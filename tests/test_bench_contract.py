@@ -1,8 +1,11 @@
 """The library names that the benchmark's traced run depends on."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
+
+from anisocurve import SolveReport
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -18,3 +21,10 @@ def test_every_traced_method_is_defined_on_its_own_class():
     for name, (module, cls, method) in tracer.METHODS.items():
         owner = getattr(importlib.import_module(f"anisocurve.{module}"), cls)
         assert method in vars(owner), name
+
+
+def test_solve_report_leads_with_the_fields_the_benchmark_builds_by_position():
+    # bench/tests rebuilds a SolveReport positionally from these fields
+    assert [f.name for f in dataclasses.fields(SolveReport)][:6] == [
+        "profile", "energy", "iterations", "converged", "final_stagnation",
+        "dual_feasibility_max_violation"]

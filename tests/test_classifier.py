@@ -144,6 +144,23 @@ def test_feasible_implies_monotone_fuzz():
             assert res.monotone in ("nondecreasing", "nonincreasing", "constant")
 
 
+def test_witness_is_the_first_earlier_face_disjoint_from_the_failing_one():
+    # slopes 1 and 2 both expose the square's corner (-1, 1), slope -1 the
+    # corner (1, 1): the third face is disjoint from each of the first two
+    grid = Grid(-1, 1, 3)
+    u = Profile(grid, grid.h * np.array([0.0, 1.0, 3.0, 2.0]))
+    res = cahn_hoffman(SQUARE, u)
+    assert not res.feasible
+    assert res.infeasibility_witness == (0, 2)
+
+
+def test_decreasing_staircase_is_feasible_and_nonincreasing():
+    u = Profile(Grid(-1, 1, 12), -_staircase(np.random.default_rng(4), 12))
+    res = cahn_hoffman(SQUARE, u)
+    assert res.feasible
+    assert res.monotone == "nonincreasing"
+
+
 def test_hypothesis_warning_for_non_partially_monotone():
     shear = np.array([[1.0, 0.6], [0.0, 1.0]])
 

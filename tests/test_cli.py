@@ -200,7 +200,8 @@ def test_artifacts_are_strict_json(tmp_path):
     ["diagnose", "--radius", "inf"],
     ["threshold", "--p", "1", "--length", "nan"],
     ["threshold", "--p", "1", "--length", "inf"],
-], ids=["radius-nan", "radius-inf", "length-nan", "length-inf"])
+    ["wulff", "--samples", "8"],
+], ids=["radius-nan", "radius-inf", "length-nan", "length-inf", "samples-8"])
 def test_non_finite_cli_number_exits_two_with_one_line(tmp_path, capsys, euclid_json, args):
     command, *options = args
     if command == "diagnose":
@@ -245,8 +246,10 @@ RASTER_ROWS = "1 0\n0 1\n"
     '{"box": [0, 1e999, 0, 1], "nx": 2, "ny": 2}\n' + RASTER_ROWS,
     '{"box": [0, "1", 0, 1], "nx": 2, "ny": 2}\n' + RASTER_ROWS,
     '{"box": [0, 1, 0, 1], "nx": 2, "ny": 2, "dx": 0.5}\n' + RASTER_ROWS,
+    "",
+    '[0, 1, 0, 1]\n' + RASTER_ROWS,
 ], ids=["cell-x", "cell-2", "nx-fraction", "ny-float", "nx-bool", "box-overflow",
-        "box-string", "unknown-key"])
+        "box-string", "unknown-key", "empty", "header-list"])
 def test_malformed_raster_exits_two_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "set.raster"
     path.write_text(text)
@@ -421,8 +424,11 @@ INF = float("inf")
     {"interval": [-1.0, INF]},
     {"anisotropy": {"kind": "lp", "q": INF}},
     {"anisotropy": {"kind": "ellipse", "a": INF, "b": 0.5}},
+    {"g": {"kind": "sine", "a": 0.05}},
+    {"solver": [4000]},
+    {"anisotropy": {"kind": "polygon", "vertices": "square"}},
 ], ids=["ellipse-a-null", "q-null", "p-null", "g-list", "n-fraction", "interval-inf",
-        "q-inf", "ellipse-a-inf"])
+        "q-inf", "ellipse-a-inf", "g-unknown-kind", "solver-list", "vertices-string"])
 def test_wrongly_typed_or_non_finite_fields_exit_two(tmp_path, capsys, overrides):
     _exits_two_with_one_line(tmp_path, capsys, _problem_payload(**overrides))
 
@@ -577,6 +583,20 @@ def test_degenerate_wulff_shape_exits_two_with_one_line(tmp_path, capsys, comman
         rc = main([command[0], aniso, *command[1:], "--out-dir", str(out), "--quiet"])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["wulff"], ["threshold", "--p", "1", "--length", "2"]],
+                         ids=["wulff", "threshold"])
+@pytest.mark.parametrize("descriptor", ['{"kind": "euclidean"}', [{"kind": "euclidean"}]],
+                         ids=["json-string", "json-array"])
+def test_anisotropy_file_that_is_not_an_object_exits_two_with_one_line(tmp_path, capsys, command,
+                                                                       descriptor):
+    # a file that holds a JSON string is not decoded a second time
+    aniso = _write_json(tmp_path / "aniso.json", descriptor)
+    out = tmp_path / "out"
+    assert main([command[0], aniso, *command[1:], "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: anisotropy descriptor must be a JSON object\n"
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("p", ["600", "1e6"])

@@ -127,6 +127,18 @@ def test_energy_rejects_p_below_one():
         energy(EUCLID, u, np.zeros(3), 0.5)
 
 
+def test_energy_rejects_a_datum_of_the_wrong_shape():
+    u = Profile(Grid(0, 1, 2), np.zeros(3))
+    with pytest.raises(ValueError, match="datum samples must match the profile nodes"):
+        energy(EUCLID, u, np.zeros(4), 1.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, -0.5, math.nan])
+def test_c11_minimizer_needs_a_step_height_in_the_unit_interval(a):
+    with pytest.raises(ValueError, match="0 < a < 1"):
+        ref.c11_minimizer(np.zeros(3), a)
+
+
 @pytest.mark.parametrize("aniso", [EUCLID, Anisotropy.ellipse(2.0, 0.5), Anisotropy.lp(3.0),
                                    Anisotropy.lp(1.0)])
 def test_energy_and_energy_totals_agree_bitwise(aniso):

@@ -100,6 +100,11 @@ def test_lambda_hypothesis_violation():
         lambda_from_gamma(2.0, 1.0, 1.0)
 
 
+def test_lambda_needs_a_nonnegative_sup_norm():
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        lambda_from_gamma(2.0, 3.0, -0.5)
+
+
 @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0, 0.0, None])
 def test_threshold_and_linf_check_need_a_finite_positive_length(length):
     with pytest.raises(ValueError):
@@ -109,6 +114,12 @@ def test_threshold_and_linf_check_need_a_finite_positive_length(length):
 
 
 # -- linf_hypothesis_check -----------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_linf_check_needs_a_finite_positive_lambda(lam):
+    with pytest.raises(ValueError, match="^lambda must be"):
+        linf_hypothesis_check(EUCLID, lam, 2.0, 0.0)
 
 
 def test_linf_zero_profile_satisfied():
