@@ -55,7 +55,6 @@ class _Run:
     def __init__(self, command: str, out_dir: str, inputs: list, config: dict, quiet: bool):
         self.command = command
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs = inputs
         self.config = config
         self.quiet = quiet
@@ -71,6 +70,9 @@ class _Run:
 
     def artifact(self, name: str) -> Path:
         """The path of a new artifact, listed in the manifest."""
+        if not self.artifacts:
+            # a command that fails on its inputs leaves no output directory behind
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         self.artifacts.append(name)
         return self.out_dir / name
 

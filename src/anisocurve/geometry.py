@@ -40,8 +40,8 @@ class RasterSet:
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=bool)
-        if cells.ndim != 2:
-            raise ValueError("cells must be a 2-d boolean matrix")
+        if cells.ndim != 2 or 0 in cells.shape:
+            raise ValueError("cells must be a non-empty 2-d boolean matrix")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate raster box")
         object.__setattr__(self, "cells", cells)
@@ -105,14 +105,17 @@ def write_raster(raster: RasterSet, path) -> None:
         "nx": raster.nx,
         "ny": raster.ny,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        # rows from the top of the box down, like an image
-        for row in raster.cells.T[::-1]:
-            fh.write(" ".join(["1" if c else "0" for c in row.tolist()]) + "\n")
+    # rows from the top of the box down, like an image: each cell's digit
+    # followed by a space, the last one by the row's newline
+    text = np.full((raster.ny, 2 * raster.nx), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = raster.cells.T[::-1] + np.uint8(ord("0"))
+    text[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode())
+        fh.write(text.tobytes())
 
 
-_CELL = {"0": False, "1": True}
+_CELLS = frozenset("01")
 
 
 def read_raster(path) -> RasterSet:
@@ -133,13 +136,15 @@ def read_raster(path) -> RasterSet:
     x_min, x_max, y_min, y_max = (finite_number(v, "raster box bound") for v in box)
     if len(lines) - 1 != ny:
         raise ValueError(f"{path}: expected {ny} grid rows, found {len(lines) - 1}")
-    cells = np.zeros((nx, ny), dtype=bool)
+    digits = []
     for k, line in enumerate(lines[1:]):
         row = line.split()
         if len(row) != nx:
             raise ValueError(f"{path}: row {k} has {len(row)} entries, expected {nx}")
-        try:
-            cells[:, ny - 1 - k] = [_CELL[tok] for tok in row]
-        except KeyError as exc:
-            raise ValueError(f"{path}: row {k} has cell {exc.args[0]!r}, expected 0 or 1") from None
-    return RasterSet(x_min, x_max, y_min, y_max, cells)
+        if not _CELLS.issuperset(row):
+            bad = next(tok for tok in row if tok not in _CELLS)
+            raise ValueError(f"{path}: row {k} has cell {bad!r}, expected 0 or 1")
+        digits.append("".join(row))
+    # file row k, counted from the top, is grid row ny - 1 - k
+    grid = np.frombuffer("".join(digits).encode(), dtype=np.uint8).reshape(ny, nx)
+    return RasterSet(x_min, x_max, y_min, y_max, (grid == ord("1"))[::-1].T)

@@ -24,7 +24,7 @@ def render_polylines(curves: list, labels: list | None = None) -> str:
     def to_px(c):
         x = 10 + (c[:, 0] - lo[0]) * scale
         y = _HEIGHT - 10 - (c[:, 1] - lo[1]) * scale
-        return x, y
+        return np.column_stack([x, y])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -32,8 +32,8 @@ def render_polylines(curves: list, labels: list | None = None) -> str:
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     for k, curve in enumerate(curves):
-        x, y = to_px(np.asarray(curve, dtype=float))
-        d = "M " + " L ".join(f"{a:.3f} {b:.3f}" for a, b in zip(x.tolist(), y.tolist()))
+        xy = to_px(np.asarray(curve, dtype=float))
+        d = "M " + " L ".join(["%.3f %.3f"] * len(xy)) % tuple(xy.ravel().tolist())
         color = _COLORS[k % len(_COLORS)]
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if labels and k < len(labels):

@@ -200,8 +200,9 @@ def test_artifacts_are_strict_json(tmp_path):
     ["diagnose", "--radius", "inf"],
     ["threshold", "--p", "1", "--length", "nan"],
     ["threshold", "--p", "1", "--length", "inf"],
+    ["threshold", "--p", "1", "--length", "-1"],
     ["wulff", "--samples", "8"],
-], ids=["radius-nan", "radius-inf", "length-nan", "length-inf", "samples-8"])
+], ids=["radius-nan", "radius-inf", "length-nan", "length-inf", "length-negative", "samples-8"])
 def test_non_finite_cli_number_exits_two_with_one_line(tmp_path, capsys, euclid_json, args):
     command, *options = args
     if command == "diagnose":
@@ -212,8 +213,7 @@ def test_non_finite_cli_number_exits_two_with_one_line(tmp_path, capsys, euclid_
     assert main([command, source, *options, "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (out / "regularity_report.json").exists()
-    assert not (out / "threshold.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("options", [
@@ -240,6 +240,8 @@ RASTER_ROWS = "1 0\n0 1\n"
 @pytest.mark.parametrize("text", [
     '{"box": [0, 1, 0, 1], "nx": 3, "ny": 2}\n1 x 0\n0 1 1\n',
     '{"box": [0, 1, 0, 1], "nx": 3, "ny": 2}\n1 0 0\n2 1 1\n',
+    '{"box": [0, 1, 0, 1], "nx": 3, "ny": 2}\n1 0 0\n10 1 1\n',
+    '{"box": [0, 1, 0, 1], "nx": 3, "ny": 2}\n1 01 0\n0 1 1\n',
     '{"box": [0, 1, 0, 1], "nx": 2.7, "ny": 2}\n' + RASTER_ROWS,
     '{"box": [0, 1, 0, 1], "nx": 2, "ny": 2.0}\n' + RASTER_ROWS,
     '{"box": [0, 1, 0, 1], "nx": true, "ny": 2}\n1\n0\n',
@@ -248,8 +250,8 @@ RASTER_ROWS = "1 0\n0 1\n"
     '{"box": [0, 1, 0, 1], "nx": 2, "ny": 2, "dx": 0.5}\n' + RASTER_ROWS,
     "",
     '[0, 1, 0, 1]\n' + RASTER_ROWS,
-], ids=["cell-x", "cell-2", "nx-fraction", "ny-float", "nx-bool", "box-overflow",
-        "box-string", "unknown-key", "empty", "header-list"])
+], ids=["cell-x", "cell-2", "cell-10", "cell-01", "nx-fraction", "ny-float", "nx-bool",
+        "box-overflow", "box-string", "unknown-key", "empty", "header-list"])
 def test_malformed_raster_exits_two_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "set.raster"
     path.write_text(text)

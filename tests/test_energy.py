@@ -15,7 +15,7 @@ from anisocurve import (
     truncate,
     write_profile_csv,
 )
-from anisocurve.energy import IngestionError, energy_totals
+from anisocurve.energy import IngestionError, energy_totals, write_two_column_csv
 from anisocurve import reference as ref
 
 EUCLID = Anisotropy.euclidean()
@@ -228,6 +228,21 @@ def test_profile_csv_round_trip(tmp_path):
     v = read_profile_csv(path)
     assert v.grid == u.grid
     np.testing.assert_array_equal(v.values, u.values)
+
+
+# the %g exponent switch on both sides, signed zero, the least subnormal
+CSV_VALUES = [-0.0, 5e-324, 1e-5, 1e-4, 0.1, math.pi, 1e16, 1e17]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 8192, 8193])
+def test_two_column_csv_matches_per_row_formatting(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    first = np.resize(CSV_VALUES, rows)
+    second = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+    path = tmp_path / "pairs.csv"
+    write_two_column_csv(path, "x,y", first, second)
+    rows_text = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first.tolist(), second.tolist()))
+    assert path.read_bytes() == ("x,y\n" + rows_text).encode()
 
 
 def test_profile_csv_rejects_nonuniform(tmp_path):

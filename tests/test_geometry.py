@@ -1,5 +1,8 @@
 """Raster sets, vertical rearrangement, and the discrete phi-perimeter."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,9 @@ def _subgraph(counts, ny, box=(-1.0, 1.0, 0.0, 1.0)):
 def test_rasterset_validation():
     with pytest.raises(ValueError):
         RasterSet(0, 1, 0, 1, np.zeros(4, dtype=bool))
+    for empty in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="non-empty"):
+            RasterSet(0, 1, 0, 1, np.zeros(empty, dtype=bool))
     with pytest.raises(ValueError):
         RasterSet(1, 1, 0, 1, np.zeros((2, 2), dtype=bool))
 
@@ -112,6 +118,18 @@ def test_raster_io_round_trip(tmp_path):
     assert (G.x_min, G.x_max, G.y_min, G.y_max) == (-2.0, 1.0, 0.5, 3.5)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (5, 7)])
+def test_raster_file_matches_per_row_formatting(tmp_path, shape):
+    cells = np.random.default_rng(shape[0]).random(shape) < 0.5
+    cells[0, 0] = True
+    path = tmp_path / "set.raster"
+    write_raster(RasterSet(-2.0, 1.0, 0.5, 3.5, cells), path)
+    header = json.dumps({"box": [-2.0, 1.0, 0.5, 3.5], "nx": shape[0], "ny": shape[1]})
+    rows = [" ".join("1" if c else "0" for c in row) for row in cells.T[::-1].tolist()]
+    assert path.read_bytes() == "\n".join([header, *rows, ""]).encode()
+    np.testing.assert_array_equal(read_raster(path).cells, cells)
+
+
 def test_raster_read_rejects_bad_files(tmp_path):
     empty = tmp_path / "empty.raster"
     empty.write_text("")
@@ -125,3 +143,13 @@ def test_raster_read_rejects_bad_files(tmp_path):
     ragged.write_text('{"box": [0, 1, 0, 1], "nx": 2, "ny": 1}\n1 0 1\n')
     with pytest.raises(ValueError):
         read_raster(ragged)
+    for token in ("10", "01"):
+        fused = tmp_path / f"fused{token}.raster"
+        fused.write_text('{"box": [0, 1, 0, 1], "nx": 2, "ny": 2}\n1 0\n' f"{token} 1\n")
+        message = f"{fused}: row 1 has cell '{token}', expected 0 or 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_raster(fused)
+    # any run of blanks separates the cells of a row
+    spaced = tmp_path / "spaced.raster"
+    spaced.write_text('{"box": [0, 1, 0, 1], "nx": 3, "ny": 2}\n1\t0  0\n 0 \t1\t1 \n')
+    np.testing.assert_array_equal(read_raster(spaced).cells, [[0, 1], [1, 0], [1, 0]])
