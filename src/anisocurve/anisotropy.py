@@ -266,15 +266,19 @@ class Anisotropy:
         if not (np.abs(vertices) < 1e150).all():  # keeps the products below finite
             raise AnisotropyError("polygon vertex coordinates must be finite and below 1e150 "
                                   "in magnitude")
-        nxt = np.roll(vertices, -1, axis=0)
-        cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]
+        # the checks run on the vertices times the power of two that puts the largest
+        # coordinate in [1, 2): exact, so no product underflows and tolerances are relative
+        shift = 1 - math.frexp(float(np.abs(vertices).max()))[1]
+        unit = np.ldexp(vertices, shift)
+        nxt = np.roll(unit, -1, axis=0)
+        cross = unit[:, 0] * nxt[:, 1] - unit[:, 1] * nxt[:, 0]
         if np.sum(cross) <= 0:
             raise AnisotropyError("polygon vertices must be counterclockwise")
         # every vertex pair turns counterclockwise about the origin, once around
-        turned = np.arctan2(cross, np.einsum("ij,ij->i", vertices, nxt)).sum()
+        turned = np.arctan2(cross, np.einsum("ij,ij->i", unit, nxt)).sum()
         if np.any(cross <= 0) or turned > 3.0 * math.pi:
             raise AnisotropyError("polygon must be convex with the origin inside")
-        edges = nxt - vertices
+        edges = nxt - unit
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         # consecutive edges turn left; the tolerance admits collinear samples
         nxt_edges, nxt_lengths = np.roll(edges, -1, axis=0), np.roll(lengths, -1)
@@ -283,12 +287,14 @@ class Anisotropy:
             raise AnisotropyError("polygon must be convex")
         # central symmetry: in counterclockwise order vertex i + K/2 is -vertex i
         half = len(vertices) // 2
-        if len(vertices) % 2 or np.any(np.hypot(*(vertices[:half] + vertices[half:]).T) > 1e-9):
+        if len(vertices) % 2 or np.any(np.hypot(*(unit[:half] + unit[half:]).T) > 1e-9):
             raise AnisotropyError("polygon must be centrally symmetric (within 1e-9)")
+        edges = np.roll(vertices, -1, axis=0) - vertices
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
         support = np.einsum("ij,ij->i", vertices, normals)
         self._params["vertices"] = vertices
-        self._poly_area = 0.5 * float(np.sum(cross))
+        self._poly_area = 0.5 * math.ldexp(float(np.sum(cross)), -2 * shift)
         self._poly_normals = normals
         # phi° is the support function of the vertices, phi that of the polar vertices
         self.dual_envelope = _upper_envelope(vertices)

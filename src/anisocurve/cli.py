@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: wulff | threshold | solve | diagnose | classify | rearrange.
-Exit codes: 0 completed, 2 input error, 3 solver divergence.  Every run
-writes a manifest JSON listing the resolved configuration, the emitted
-artifacts, per-phase wall time and the versions, platform and CPU count
-it ran with, so reruns are reproducible.  Every JSON artifact is strict
-JSON written from a result dataclass by ``_Run.emit_json``.
+Each ``cmd_*`` records its run in a ``_Run``, whose ``finish`` writes a
+manifest JSON: the resolved configuration, the artifacts, per-phase wall
+time and the versions, platform and CPU count, so reruns are
+reproducible.  Every JSON artifact is strict JSON written from a result
+dataclass by ``_Run.emit_json``.  Exit codes, set by ``main``: 0
+completed, 2 input error, 3 solver divergence, which includes a solve
+whose numbers overflow.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anisotropy import (Anisotropy, AnisotropyError, GeometryError, anisotropy_from_json,
-                         positive_number)
+from .anisotropy import Anisotropy, GeometryError, anisotropy_from_json, positive_number
 from .classifier import cahn_hoffman
-from .energy import IngestionError, read_profile_csv, write_profile_csv, write_two_column_csv
+from .energy import read_profile_csv, write_profile_csv, write_two_column_csv
 from .geometry import column_heights, read_raster, vertical_rearrangement, write_raster
 from .problem import load_problem
 from .regularity import lipschitz_report, refinement_study, tangent_ball_check
@@ -50,14 +51,15 @@ def _plain(value):
 
 
 class _Run:
-    """Collects artifacts and phase timings for the run manifest."""
+    """Collects artifacts and phase timings for the run manifest of the
+    command that ``args`` names, with its ``--out-dir`` and ``--quiet``."""
 
-    def __init__(self, command: str, out_dir: str, inputs: list, config: dict, quiet: bool):
-        self.command = command
-        self.out_dir = Path(out_dir)
+    def __init__(self, args: argparse.Namespace, inputs: list, config: dict):
+        self.command = args.command
+        self.out_dir = Path(args.out_dir)
         self.inputs = inputs
         self.config = config
-        self.quiet = quiet
+        self.quiet = args.quiet
         self.artifacts: list[str] = []
         self.phases: dict[str, float] = {}
         self._t0 = time.perf_counter()
@@ -89,6 +91,8 @@ class _Run:
             print(message)
 
     def finish(self) -> None:
+        """Close the ``emit`` phase and write the manifest."""
+        self.phase("emit")
         self.emit_json("manifest.json", {
             "command": self.command,
             "tool_version": __version__,
@@ -106,12 +110,9 @@ class _Run:
         self.say(f"wrote {len(self.artifacts)} artifacts to {self.out_dir}")
 
 
-def cmd_wulff(args) -> int:
+def cmd_wulff(args) -> None:
     aniso = _read_aniso(args.anisotropy)
-    run = _Run(
-        "wulff", args.out_dir, [args.anisotropy],
-        {"samples": args.samples, "svg": args.svg}, args.quiet,
-    )
+    run = _Run(args, [args.anisotropy], {"samples": args.samples, "svg": args.svg})
     measures = aniso.wulff_measures()
     pts = aniso.wulff_sample(args.samples)
     flags = aniso.symmetry_flags()
@@ -121,22 +122,16 @@ def cmd_wulff(args) -> int:
     if args.svg:
         closed = np.vstack([pts, pts[:1]])
         run.emit_text("wulff.svg", render_polylines([closed], labels=["wulff shape"]))
-    run.phase("emit")
     run.say(f"alpha0 = {measures.alpha0:.9g}, c_phi = {measures.c_phi:.9g}")
     run.finish()
-    return EXIT_OK
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> None:
     aniso = _read_aniso(args.anisotropy)
-    run = _Run(
-        "threshold", args.out_dir, [args.anisotropy],
-        {"p": args.p, "length": args.length}, args.quiet,
-    )
+    run = _Run(args, [args.anisotropy], {"p": args.p, "length": args.length})
     report = sigma_threshold(aniso, args.p, args.length)
     run.phase("compute")
     run.emit_json("threshold.json", report.to_json())
-    run.phase("emit")
     rows = [
         ("sigma", report.sigma),
         ("gamma", report.gamma),
@@ -151,12 +146,11 @@ def cmd_threshold(args) -> int:
         run.say(f"{k:<{width}}  {v:.9g}")
     run.say(f"regularity class: {report.regularity_class}")
     run.finish()
-    return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     problem = load_problem(args.problem)
-    run = _Run("solve", args.out_dir, [args.problem], problem.to_json(), args.quiet)
+    run = _Run(args, [args.problem], problem.to_json())
     g = problem.g_samples()
     report = solve(problem.aniso, problem.grid, g, problem.p, problem.solver)
     run.phase("solve")
@@ -172,24 +166,19 @@ def cmd_solve(args) -> int:
             np.column_stack([nodes, g]),
         ]
         run.emit_text("solve.svg", render_polylines(curves, labels=["u", "g"]))
-    run.phase("emit")
     if not report.converged and report.iterations == problem.solver.max_iters:
         run.say("warning: iteration budget exhausted before convergence")
     elif not report.converged:
         run.say("warning: the solve stalled before convergence (no representable decrease left)")
     run.say(f"total energy {report.energy.total:.9g} after {report.iterations} iterations")
     run.finish()
-    return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> None:
     problem = load_problem(args.problem)
     positive_number(args.radius, "tangent ball radius")  # fail before the study runs
-    run = _Run(
-        "diagnose", args.out_dir, [args.problem],
-        {**problem.to_json(), "levels": args.levels, "radius": args.radius},
-        args.quiet,
-    )
+    run = _Run(args, [args.problem],
+               {**problem.to_json(), "levels": args.levels, "radius": args.radius})
     g = problem.g_samples()
     # level 0 of the study is the solve on the problem's own grid and datum
     study = refinement_study(
@@ -216,37 +205,31 @@ def cmd_diagnose(args) -> int:
             np.vstack([overlay, overlay[:1]]),
         ]
         run.emit_text("diagnose.svg", render_polylines(curves, labels=["u", "tangent ball"]))
-    run.phase("emit")
     run.say(f"classification: {study.classification}")
     run.finish()
-    return EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     aniso = _read_aniso(args.anisotropy)
     profile = read_profile_csv(args.profile)
-    run = _Run("classify", args.out_dir, [args.profile, args.anisotropy], {}, args.quiet)
+    run = _Run(args, [args.profile, args.anisotropy], {})
     result = cahn_hoffman(aniso, profile)
     run.phase("classify")
     run.emit_json("cahn_hoffman.json", asdict(result))
-    run.phase("emit")
     run.say(f"feasible: {result.feasible} ({result.monotone})")
     run.finish()
-    return EXIT_OK
 
 
-def cmd_rearrange(args) -> int:
+def cmd_rearrange(args) -> None:
     raster = read_raster(args.raster)
-    run = _Run("rearrange", args.out_dir, [args.raster], {}, args.quiet)
+    run = _Run(args, [args.raster], {})
     heights = column_heights(raster)
     stacked = vertical_rearrangement(raster)
     run.phase("rearrange")
     centers = raster.x_min + raster.dx * (np.arange(raster.nx) + 0.5)
     write_two_column_csv(run.artifact("rearranged_profile.csv"), "s,u", centers, heights)
     write_raster(stacked, run.artifact("rearranged.raster"))
-    run.phase("emit")
     run.finish()
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,14 +290,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except SolverDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (AnisotropyError, GeometryError, IngestionError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (GeometryError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

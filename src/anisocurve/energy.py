@@ -273,6 +273,9 @@ def _read_two_column_csv(path, value_name: str) -> tuple[np.ndarray, np.ndarray]
         rows = list(csv.reader(fh))
     if not rows or len(rows[0]) != 2 or rows[0][0].strip() != "s":
         raise IngestionError(f"expected a 's,{value_name}' header in {path}")
+    for k, row in enumerate(rows[1:]):
+        if len(row) != 2:
+            raise IngestionError(f"{path}: row {k} has {len(row)} fields, expected 2")
     try:
         data = np.array([[float(a), float(b)] for a, b in rows[1:]])
     except ValueError as exc:

@@ -45,7 +45,8 @@ the energy changes across a smoothed kink, about eps h, must stay well
 above the rounding of the energy sum for the line search to resolve
 them.  The smoothing also scatters the nodes that the exact minimizer
 keeps on the datum by about eps S; the final polish of :func:`solve`
-puts them back.
+puts them back.  A number that leaves the floats becomes NaN, and a NaN
+step or sweep raises :class:`SolverDivergenceError`.
 """
 
 from __future__ import annotations
@@ -240,6 +241,8 @@ def _solve_chain(
     w = trapezoid_weights(grid)
     if p in (1.0, 2.0):
         u = _chain_sweep(levels, kinks, g, w, p == 2.0)
+        if not np.isfinite(u).all():
+            raise SolverDivergenceError(1)
         return _polished_report(aniso, grid, g, p, u, 1, True, 0.0, _EPS_FLOOR, "chain")
     scale = float(np.ptp(g)) + grid.length
     # a model curvature floor, relative to the edge terms' slope per unit of u;
@@ -258,10 +261,7 @@ def _solve_chain(
         fid, grad, curv = fidelity(u, eps)
         area = edges(u)
         weights = 0.5 * curv + ridge
-        centres = u - 0.5 * grad / weights
-        if not (np.isfinite(weights).all() and np.isfinite(centres).all()):
-            return area + fid, np.full_like(u, np.nan), 0.0  # the model overflowed: _descend raises
-        d = _chain_sweep(levels, kinks, centres, weights, True) - u
+        d = _chain_sweep(levels, kinks, u - 0.5 * grad / weights, weights, True) - u
         return area + fid, d, area - edges(u + d) - float(grad @ d)
 
     return _polished_report(aniso, grid, g, p, *_descend(
@@ -343,13 +343,17 @@ def _chain_sweep(
         u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})).
 
     Each node's edge step is a fixed number of whole-array operations on
-    the polyline, which grows by at most 2 m points per node.
+    the polyline, which grows by at most 2 m points per node.  Once a
+    centre, a weight or an end of the derivative is not finite, every u_j
+    is NaN.
     """
     flat_levels = np.concatenate([levels[1:], levels[:-1]])
     flat_kinks = np.concatenate([kinks, kinks])
     crossings = []  # per node, the first crossing of every level
     x, lam, slope = centres[:1].copy(), np.zeros(1), 0.0  # M' = 0 before node 0
     for j, (cj, wj) in enumerate(zip(centres.tolist(), weights.tolist())):
+        if not all(map(math.isfinite, (cj, wj, lam[0], lam[-1]))):
+            return np.full(len(centres), math.nan)  # the data or a message left the floats
         if j:
             # edge step: part b of the curve, between the crossings of levels
             # b and b + 1, is x[after[b]:before[b + 1]] and moves by kink b; a

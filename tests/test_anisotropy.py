@@ -426,12 +426,18 @@ def test_json_rejects_asymmetric_polygon():
     with pytest.raises(AnisotropyError):
         anisotropy_from_json({"kind": "polygon",
                               "vertices": [[2, 1], [-1, 1], [-1, -1], [1, -1]]})
+    # phi°(e1) = 1e-12 but phi°(-e1) = 2e-12: the symmetry tolerance is relative
+    with pytest.raises(AnisotropyError, match="centrally symmetric"):
+        Anisotropy.polygon(np.array([[1, 0], [0, 1], [-2, 0], [0, -1]]) * 1e-12)
 
 
 def test_json_rejects_clockwise_polygon():
     with pytest.raises(AnisotropyError):
         anisotropy_from_json({"kind": "polygon",
                               "vertices": [[1, 1], [1, -1], [-1, -1], [-1, 1]]})
+    # a counterclockwise diamond passes at a size where its cross products underflow
+    tiny = Anisotropy.polygon(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]) * 1e-162)
+    assert tiny.eval_dual(np.array([3.0, 0.0])) == 3e-162
 
 
 def test_json_rejects_unknown_kind():

@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -61,6 +62,7 @@ def test_wulff_command(tmp_path, euclid_json):
     assert man["python"].count(".") == 2 and man["numpy"] == np.__version__
     assert isinstance(man["platform"], str) and man["platform"]
     assert isinstance(man["cpu_count"], int) and man["cpu_count"] >= 1
+    assert set(man["wall_time_s"]) == {"geometry", "emit"}
 
 
 def test_threshold_command(tmp_path, euclid_json):
@@ -71,6 +73,7 @@ def test_threshold_command(tmp_path, euclid_json):
     report = json.loads((out / "threshold.json").read_text())
     assert report["sigma"] == pytest.approx(0.06533, abs=1e-4)
     assert "lambda" in report
+    assert set(_manifest(out)["wall_time_s"]) == {"compute", "emit"}
 
 
 def test_solve_then_classify(tmp_path, euclid_json):
@@ -84,6 +87,7 @@ def test_solve_then_classify(tmp_path, euclid_json):
     assert report["energy"]["total"] == pytest.approx(
         report["energy"]["area"] + report["energy"]["fidelity"])
     assert b"\r" not in (out / "profile.csv").read_bytes()
+    assert set(_manifest(out)["wall_time_s"]) == {"solve", "emit"}
 
     out2 = tmp_path / "classify"
     rc = main(["classify", str(out / "profile.csv"), euclid_json,
@@ -91,6 +95,7 @@ def test_solve_then_classify(tmp_path, euclid_json):
     assert rc == EXIT_OK
     verdict = json.loads((out2 / "cahn_hoffman.json").read_text())
     assert verdict["monotone"] in ("nondecreasing", "constant")
+    assert set(_manifest(out2)["wall_time_s"]) == {"classify", "emit"}
 
 
 def test_solve_budget_exhausted_still_ok(tmp_path, capsys):
@@ -137,6 +142,7 @@ def test_diagnose_command(tmp_path):
     excess = report["refinement_jump_excess"]
     assert len(excess) == 3 and all(e > 0.0 for e in excess)
     assert report["tangent_ball"]["radius_tested"] == 0.2
+    assert set(_manifest(out)["wall_time_s"]) == {"solve", "diagnostics", "emit"}
 
 
 @pytest.mark.parametrize("command", ["solve", "diagnose"])
@@ -165,6 +171,7 @@ def test_rearrange_command(tmp_path):
     heights = [float(line.split(",")[1]) for line in lines[1:]]
     assert heights == [2.0, 2.0, 1.0, 1.0]
     assert (out / "rearranged.raster").exists()
+    assert set(_manifest(out)["wall_time_s"]) == {"rearrange", "emit"}
 
 
 def test_input_errors_exit_two(tmp_path, euclid_json):
@@ -186,7 +193,7 @@ def test_input_errors_exit_two(tmp_path, euclid_json):
 
 
 def test_artifacts_are_strict_json(tmp_path):
-    run = _Run("test", str(tmp_path), [], {}, quiet=True)
+    run = _Run(argparse.Namespace(command="test", out_dir=str(tmp_path), quiet=True), [], {})
     run.emit_json("numpy.json", {"scalar": np.float64(0.1), "array": np.arange(3.0)})
     assert json.loads((tmp_path / "numpy.json").read_text()) == {
         "scalar": 0.1, "array": [0.0, 1.0, 2.0]}
@@ -286,6 +293,16 @@ def test_overflowing_chain_model_exits_three(tmp_path, capsys):
     square = {"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
     _diverges_with_one_line(tmp_path, capsys, _problem_payload(
         anisotropy=square, p=80.0, g={"kind": "step", "a": 1e6}, grid={"n": 16}))
+
+
+@pytest.mark.parametrize("anisotropy, p, a", [
+    ({"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}, 5.0, 1e80),
+    ({"kind": "lp", "q": 1.0}, 8.0, 1e50),
+], ids=["square", "lp1"])
+def test_overflowing_chain_sweep_exits_three(tmp_path, capsys, anisotropy, p, a):
+    # the model's weights stay finite, but the sweep's derivative overflows
+    _diverges_with_one_line(tmp_path, capsys, _problem_payload(
+        anisotropy=anisotropy, p=p, g={"kind": "step", "a": a}, grid={"n": 16}))
 
 
 def test_singular_newton_system_exits_three(tmp_path, capsys):
@@ -601,6 +618,30 @@ def test_anisotropy_file_that_is_not_an_object_exits_two_with_one_line(tmp_path,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", [["wulff"], ["threshold", "--p", "1", "--length", "2"],
+                                     ["solve"]], ids=["wulff", "threshold", "solve"])
+def test_tiny_polygon_runs_or_exits_two_with_one_line(tmp_path, capsys, command):
+    # cross products of these vertices underflow; their area does too
+    diamond = {"kind": "polygon", "vertices": (np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])
+                                               * 1e-162).tolist()}
+    if command[0] == "solve":
+        source = _write_json(tmp_path / "prob.json", _problem_payload(
+            anisotropy=diamond, g={"kind": "step", "a": 0.3}, grid={"n": 16}))
+    else:
+        source = _write_json(tmp_path / "aniso.json", diamond)
+    out = tmp_path / "out"
+    rc = main([command[0], source, *command[1:], "--out-dir", str(out), "--quiet"])
+    if command[0] == "solve":
+        # a gauge this small costs nothing against the fidelity: u = g
+        assert rc == EXIT_OK
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["energy"]["fidelity"] == 0.0
+    else:
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: Wulff shape area 0.0 is not a positive finite number\n")
+
+
 @pytest.mark.parametrize("p", ["600", "1e6"])
 def test_threshold_at_a_large_exponent(tmp_path, euclid_json, p):
     out = tmp_path / "out"
@@ -630,7 +671,9 @@ def test_polygon_with_huge_vertices_exits_two_with_one_line(tmp_path, capsys, co
      "non-numeric data in {path}: could not convert string to float: 'abc'"),
     ("s,u\n", "{path} has no data rows"),
     ("s,u\n0,1\n", "profile csv needs at least two nodes"),
-], ids=["missing", "header", "non-numeric", "no-rows", "one-node"])
+    ("s,u\n-1,0\n0.5,1,2\n1,0\n", "{path}: row 1 has 3 fields, expected 2"),
+    ("s,u\n-1,0\n0.5\n1,0\n", "{path}: row 1 has 1 fields, expected 2"),
+], ids=["missing", "header", "non-numeric", "no-rows", "one-node", "three-fields", "one-field"])
 def test_malformed_profile_csv_exits_two_with_one_line(tmp_path, capsys, euclid_json, text,
                                                        message):
     path = tmp_path / "u.csv"

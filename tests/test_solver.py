@@ -537,7 +537,7 @@ def test_chain_divergence_on_an_overflowing_fidelity_model():
     # (t^2 + (eps S)^2)^(p/2) overflows at the first eps, so the model's
     # weights are infinite
     grid = Grid(-1, 1, 16)
-    for a, p in ((1e6, 80.0), (1e6, 200.0), (1e3, 400.0)):
+    for a, p in ((1e6, 80.0), (1e6, 200.0), (1e3, 400.0), (1e80, 5.0)):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(SolverDivergenceError) as excinfo:
             solve(SQUARE, grid, GSpec.step(a).sample(grid), p)
