@@ -10,6 +10,7 @@ defined here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -186,13 +187,14 @@ class Anisotropy:
     has one kind: ``lp`` holds 1 < q != 2 only, as lp(1) is the diamond
     polygon and lp(2) the Euclidean gauge, and a generic gauge is its
     inscribed polygon.  Instances are immutable; the one lazily built cache,
-    the face polyline, is written once and safe for concurrent reads afterwards.
+    the boundary polyline that every exposed face is read from (a
+    ``functools.cached_property``), is written once and safe for concurrent
+    reads afterwards.
     """
 
     def __init__(self, kind: str, **params):
         self.kind = kind
         self._params = params
-        self._face_cache: Optional[tuple] = None  # (points, params, total_len, face tol)
         # the semi-axes of a quadratic-form gauge; the Euclidean gauge is the unit ellipse
         self._axes: Optional[tuple[float, float]] = None
         # a polygon's envelopes of the lines of its vertices (phi°) and polar vertices (phi)
@@ -289,18 +291,17 @@ class Anisotropy:
         half = len(vertices) // 2
         if len(vertices) % 2 or np.any(np.hypot(*(unit[:half] + unit[half:]).T) > 1e-9):
             raise AnisotropyError("polygon must be centrally symmetric (within 1e-9)")
-        edges = np.roll(vertices, -1, axis=0) - vertices
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        # the scaled copy serves every array below, scaled back by the same power of two
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        support = np.einsum("ij,ij->i", vertices, normals)
+        support = np.ldexp(np.einsum("ij,ij->i", unit, normals), -shift)
         self._params["vertices"] = vertices
         self._poly_area = 0.5 * math.ldexp(float(np.sum(cross)), -2 * shift)
         self._poly_normals = normals
         # phi° is the support function of the vertices, phi that of the polar vertices
         self.dual_envelope = _upper_envelope(vertices)
         self._gauge_envelope = _upper_envelope(normals / support[:, None])
-        self._poly_segments = (*vertices.T, *edges.T)  # start x, y; edge x, y
-        self._poly_edge_len2 = np.einsum("ij,ij->i", edges, edges)
+        self._poly_segments = (*vertices.T, *np.ldexp(edges, -shift).T)  # start x, y; edge x, y
+        self._poly_edge_len2 = np.ldexp(np.einsum("ij,ij->i", edges, edges), -2 * shift)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -420,19 +421,16 @@ class Anisotropy:
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
         return dirs / self.eval_many(dirs)[:, None]
 
+    @functools.cached_property
     def _face_polyline(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Cached boundary polyline with cumulative arc-length parameters, its
-        length, and the exposed-face tolerance 1e-7 times its Euclidean diameter."""
-        if self._face_cache is None:
-            if self.kind == "polygon":
-                pts = self._params["vertices"]
-            else:
-                pts = self.wulff_sample(DEFAULT_FACE_SAMPLES)
-            seg = np.hypot(*np.diff(np.vstack([pts, pts[:1]]), axis=0).T)
-            params = np.concatenate([[0.0], np.cumsum(seg[:-1])])
-            tol = 2e-7 * float(np.hypot(pts[:, 0], pts[:, 1]).max())
-            self._face_cache = (pts, params, float(seg.sum()), tol)
-        return self._face_cache
+        """The boundary polyline that faces live on (a polygon's vertices, else
+        DEFAULT_FACE_SAMPLES points), its cumulative arc-length parameters, its
+        length, and the face tolerance 2e-7 times its largest |point|."""
+        pts = (self._params["vertices"] if self.kind == "polygon"
+               else self.wulff_sample(DEFAULT_FACE_SAMPLES))
+        seg = np.hypot(*np.diff(np.vstack([pts, pts[:1]]), axis=0).T)
+        tol = 2e-7 * float(np.hypot(pts[:, 0], pts[:, 1]).max())
+        return pts, np.concatenate([[0.0], np.cumsum(seg[:-1])]), float(seg.sum()), tol
 
     # -- measures and flags ------------------------------------------
 
@@ -482,52 +480,39 @@ class Anisotropy:
     # -- exposed faces ------------------------------------------------
 
     def face_mask(self, nu: np.ndarray) -> np.ndarray:
-        """Face-polyline points within 1e-7 diameter of the support value."""
-        pts, _, _, tol = self._face_polyline()
+        """The exposed face of nu on the boundary polyline: the points within
+        the tolerance (2e-7 times the largest |point|) of the polyline's own
+        largest <x, nu>.  It evaluates no phi° and is never empty; on a polygon,
+        whose polyline is its vertices, that largest value is phi°(nu) up to rounding.
+        """
+        pts, _, _, tol = self._face_polyline
         dots = pts @ np.asarray(nu, dtype=float)
-        target = self.eval_dual(nu)
-        mask = dots >= target - tol
-        if not mask.any():  # the polyline argmax always represents the face
-            mask[int(np.argmax(dots))] = True
-        return mask
+        return dots >= dots.max() - tol
 
     def exposed_face(self, nu) -> BoundaryArc:
-        """The boundary arc {N : <N, nu> >= phi°(nu) - tol} (exposed face), with
-        tol 1e-7 times the diameter of the Wulff shape.
+        """The boundary arc of :meth:`face_mask` (the exposed face of unit nu).
 
-        Exact for polygons (a vertex or a whole edge); a short arc
-        around the maximizer for strictly convex shapes.
+        Exact for polygons (a vertex or a whole edge); on a smooth gauge the
+        sampled points within the tolerance of the sampled maximum of <x, nu>.
         """
         nu = _as_vec(nu)
-        n = np.hypot(nu[0], nu[1])
-        if abs(n - 1.0) > 1e-12:
+        if abs(np.hypot(nu[0], nu[1]) - 1.0) > 1e-12:
             raise AnisotropyError("exposed_face expects a unit normal")
         return self._arc_from_mask(self.face_mask(nu))
 
     def _arc_from_mask(self, mask: np.ndarray) -> BoundaryArc:
-        pts, params, total, _ = self._face_polyline()
-        idx = np.nonzero(mask)[0]
-        if len(idx) == len(mask):
+        """The arc of a contiguous face mask: its points in the polyline's order,
+        rolled to start after the last excluded point, so that one path serves
+        runs that wrap through parameter 0 and runs that do not."""
+        pts, params, total, _ = self._face_polyline
+        excluded = np.flatnonzero(~mask)
+        if not len(excluded):
             raise GeometryError("face mask covers the whole boundary")
-        # contiguous circular run: rotate so the run does not straddle 0
-        if mask[0] and mask[-1]:
-            start = int(np.nonzero(~mask)[0][-1]) + 1
-            lo, hi = idx[idx >= start][0], idx[idx < start][-1]
-        else:
-            lo, hi = int(idx[0]), int(idx[-1])
-        s_lo, s_hi = float(params[lo]), float(params[hi])
-        if lo <= hi:
-            mid = pts[idx[len(idx) // 2]]
-        else:
-            run = np.concatenate([np.arange(lo, len(mask)), np.arange(0, hi + 1)])
-            mid = pts[run[len(run) // 2]]
-        return BoundaryArc(
-            s_lo=s_lo,
-            s_hi=s_hi,
-            total_length=total,
-            endpoints=np.array([pts[lo], pts[hi]]),
-            midpoint=np.asarray(mid, dtype=float),
-        )
+        order = np.roll(np.arange(len(mask)), -1 - int(excluded[-1]))
+        run = order[mask[order]]
+        lo, hi = run[0], run[-1]
+        return BoundaryArc(s_lo=float(params[lo]), s_hi=float(params[hi]), total_length=total,
+                           endpoints=pts[[lo, hi]], midpoint=pts[run[len(run) // 2]])
 
     def normal_contact_point(self, nu) -> np.ndarray:
         """Boundary point with outward normal nu (face midpoint for facets)."""

@@ -7,7 +7,8 @@ time and the versions, platform and CPU count, so reruns are
 reproducible.  Every JSON artifact is strict JSON written from a result
 dataclass by ``_Run.emit_json``.  Exit codes, set by ``main``: 0
 completed, 2 input error, 3 solver divergence, which includes a solve
-whose numbers overflow.
+whose numbers overflow.  A failed command writes one stderr line, its
+error; the warnings a command raises reach stderr only if it completes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -289,14 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.func(args)
-    except SolverDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (GeometryError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # a failed command's one stderr line is its error: its warnings are dropped
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args.func(args)
+        except SolverDivergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DIVERGED
+        except (GeometryError, ValueError, KeyError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return EXIT_OK
 
 

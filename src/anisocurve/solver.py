@@ -33,8 +33,10 @@ are smoothed with a relative width eps: |t|^p of the fidelity becomes
 (t^2 + (eps S)^2)^(p/2), with S the datum's range plus the interval
 length, for p < 2 (Newton) or every p other than 1 and 2 (the chain),
 and Newton's gauge term uses :meth:`Anisotropy.smoothed_dual` at width
-eps h (a log-sum-exp for polygon gauges, a smoothed |r|^q' for
-lp(q > 2)).  The chain never smooths the gauge.
+eps h (a smoothed |r|^q' for lp(q > 2)).  The chain never smooths the
+gauge: since :func:`solve` sends every polygon to the chain, the
+log-sum-exp polygon branch of ``smoothed_dual`` serves only
+``dual_feasibility_max_violation`` and the tests' Newton reference.
 eps starts at 1e-2 and shrinks each time the iteration settles (five-fold
 for Newton, a thousandfold for the chain), down to a fixed floor of 1e-10
 (continuation); Newton problems with no nonsmooth piece start at the
@@ -151,7 +153,8 @@ def solve(
     do not apply; at any other p it is a proximal Newton method whose
     ``iterations`` count sweeps.  Every other input takes the damped
     Newton method of :func:`_solve_newton` (``method`` ``"newton"``).
-    Each function describes its report fields.
+    Each function describes its report fields.  A datum with a non-finite
+    sample raises :class:`SolverDivergenceError` at iteration 1.
 
     Either way the result is then polished: nodes within 1e-7 S of the
     datum are put back on it, and the profile is truncated to the datum's
@@ -167,6 +170,8 @@ def solve(
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.n_cells + 1,):
         raise ValueError("datum samples must match the grid nodes")
+    if not np.isfinite(g).all():
+        raise SolverDivergenceError(1)
     if aniso.kind == "polygon":
         return _solve_chain(aniso, grid, g, p, cfg or SolverConfig())
     return _solve_newton(aniso, grid, g, p, cfg or SolverConfig())
@@ -232,8 +237,6 @@ def _solve_chain(
     The step d = u_hat - u predicts the decrease
     -(grad F . d + psi(u + d) - psi(u)).  ``iterations`` counts sweeps.
     """
-    if not np.isfinite(g).all():
-        raise SolverDivergenceError(1)
     # psi(r) = phi°(r, h) = max_k s_k r + c_k h over the gauge's envelope: psi(-t) has
     # slopes -s_m < ... < -s_1 and kinks at -h times the hand-over points
     s, _, handover = aniso.dual_envelope

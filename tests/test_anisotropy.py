@@ -8,6 +8,7 @@ import pytest
 
 from anisocurve import (Anisotropy, AnisotropyError, Grid, anisotropy_from_json,
                         sigma_threshold, solve)
+from anisocurve.anisotropy import DEFAULT_FACE_SAMPLES
 
 SQUARE = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
 
@@ -213,6 +214,67 @@ def test_normal_contact_point_square_face_wrapping_index_zero():
     assert square.normal_contact_point([0.0, 1.0]).tolist() == [0.0, 1.0]
     diagonal = np.array([1.0, 1.0]) / math.sqrt(2.0)
     assert square.normal_contact_point(diagonal).tolist() == [1.0, 1.0]
+
+
+def _unit_normals(m):
+    theta = np.linspace(0.0, 2.0 * math.pi, m)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+@pytest.mark.parametrize("aniso", [
+    Anisotropy.euclidean(), Anisotropy.ellipse(2.0, 0.5), Anisotropy.lp(3.0), Anisotropy.lp(1.5),
+], ids=["euclidean", "ellipse", "lp3", "lp1.5"])
+def test_smooth_face_is_the_top_band_of_its_polyline(aniso):
+    # the face is the band of sampled points within the tolerance of the sampled
+    # maximum of <x, nu>; it contains every sampled point within the tolerance of
+    # the exact maximum phi°(nu), which lies at or above the sampled one
+    pts = aniso.wulff_sample(DEFAULT_FACE_SAMPLES)
+    tol = 2e-7 * float(np.hypot(pts[:, 0], pts[:, 1]).max())
+    for nu in _unit_normals(4001):
+        dots = pts @ nu
+        mask = aniso.face_mask(nu)
+        np.testing.assert_array_equal(mask, dots >= dots.max() - tol)
+        assert mask[dots >= aniso.eval_dual(nu) - tol].all()
+
+
+@pytest.mark.parametrize("aniso", [
+    Anisotropy.polygon(SQUARE), Anisotropy.lp(1.0),
+    Anisotropy.polygon([[math.cos(t), math.sin(t)] for t in 0.3 + math.pi / 3.0 * np.arange(6)]),
+    Anisotropy.generic(lambda x, y: (abs(x) ** 3 + abs(y) ** 3) ** (1.0 / 3.0)),
+], ids=["square", "lp1", "hexagon", "generic"])
+def test_polygon_face_is_the_vertices_near_the_dual_gauge(aniso):
+    # on a polygon the largest <v_k, nu> over the vertices is phi°(nu) to rounding
+    verts = aniso.vertices
+    tol = 2e-7 * float(np.hypot(verts[:, 0], verts[:, 1]).max())
+    for nu in _unit_normals(721):
+        mask = aniso.face_mask(nu)
+        np.testing.assert_array_equal(mask, verts @ nu >= aniso.eval_dual(nu) - tol)
+        ends = aniso.exposed_face(nu).endpoints.tolist()
+        assert all(end in verts[mask].tolist() for end in ends)
+
+
+@pytest.mark.parametrize("run", [
+    [10, 11, 0, 1, 2],  # wraps through parameter 0
+    [8, 9, 10, 11],  # ends at the last point
+    [5],
+    [5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3],  # all points but one
+    list(range(1, 12)),  # all but the first
+], ids=["wrapping", "ending-at-last", "single", "all-but-one", "all-but-first"])
+def test_arc_from_mask_reads_the_run_in_polyline_order(run):
+    dodecagon = Anisotropy.polygon([[math.cos(t), math.sin(t)]
+                                    for t in math.pi / 6.0 * np.arange(12)])
+    verts = dodecagon.vertices
+    sides = np.hypot(*(np.roll(verts, -1, axis=0) - verts).T)
+    params = np.concatenate([[0.0], np.cumsum(sides[:-1])])
+    mask = np.zeros(12, dtype=bool)
+    mask[run] = True
+    arc = dodecagon._arc_from_mask(mask)
+    lo, hi = run[0], run[-1]
+    assert (arc.s_lo, arc.s_hi, arc.total_length) == (params[lo], params[hi], sides.sum())
+    assert arc.endpoints.tolist() == [verts[lo].tolist(), verts[hi].tolist()]
+    assert arc.midpoint.tolist() == verts[run[len(run) // 2]].tolist()
+    assert arc.wraps == (lo > hi)
+    assert arc.length == pytest.approx(sides[[(lo + k) % 12 for k in range(len(run) - 1)]].sum())
 
 
 # -- projection ---------------------------------------------------------

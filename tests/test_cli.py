@@ -6,7 +6,11 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisocurve import RasterSet, SolverDivergenceError, write_raster
+from anisocurve import RasterSet, SolverDivergenceError, sigma_threshold, write_raster
 from anisocurve.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, _Run, main
 
 
@@ -303,6 +307,47 @@ def test_overflowing_chain_sweep_exits_three(tmp_path, capsys, anisotropy, p, a)
     # the model's weights stay finite, but the sweep's derivative overflows
     _diverges_with_one_line(tmp_path, capsys, _problem_payload(
         anisotropy=anisotropy, p=p, g={"kind": "step", "a": a}, grid={"n": 16}))
+
+
+@pytest.mark.parametrize("anisotropy, p, a", [
+    ({"kind": "euclidean"}, 1.0, 1e160),
+    ({"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}, 5.0, 1e80),
+], ids=["euclidean", "square"])
+def test_overflowing_solve_writes_one_stderr_line(tmp_path, anisotropy, p, a):
+    # in a fresh interpreter, under Python's default warning filters and with no
+    # errstate, the overflow's numpy warnings must not reach stderr
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(
+        anisotropy=anisotropy, p=p, g={"kind": "step", "a": a}, grid={"n": 16}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "anisocurve.cli", "solve", prob, "--out-dir",
+         str(tmp_path / "out"), "--quiet"], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_DIVERGED
+    assert done.stderr.splitlines() == ["error: solver diverged at iteration 1"]
+
+
+def test_warnings_reach_stderr_only_when_the_command_completes(tmp_path, capsys, monkeypatch,
+                                                               euclid_json):
+    def warning_threshold(*args):
+        warnings.warn("raised during the command", UserWarning)
+        return sigma_threshold(*args)
+
+    def failing_threshold(*args):
+        warnings.warn("raised during the command", UserWarning)
+        raise ValueError("bad input")
+
+    argv = ["threshold", euclid_json, "--p", "1", "--length", "2", "--out-dir",
+            str(tmp_path / "out"), "--quiet"]
+    monkeypatch.setattr("anisocurve.cli.sigma_threshold", warning_threshold)
+    with pytest.warns(UserWarning, match="raised during the command"):
+        assert main(argv) == EXIT_OK
+    monkeypatch.setattr("anisocurve.cli.sigma_threshold", failing_threshold)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_INPUT
+    assert shown == []
+    assert capsys.readouterr().err == "error: bad input\n"
 
 
 def test_singular_newton_system_exits_three(tmp_path, capsys):

@@ -215,11 +215,13 @@ def test_solve_deterministic():
 
 def test_solve_divergence_on_nonfinite_datum():
     grid = Grid(-1, 1, 8)
-    g = np.zeros(9)
-    g[4] = np.nan
-    with pytest.raises(SolverDivergenceError) as excinfo:
-        solve(EUCLID, grid, g, 1.0)
-    assert excinfo.value.iteration >= 1
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.zeros(9)
+        g[4] = bad
+        for aniso in (EUCLID, GAUGES["lp3"]):
+            with pytest.raises(SolverDivergenceError) as excinfo:
+                solve(aniso, grid, g, 1.0)
+            assert excinfo.value.iteration >= 1
 
 
 def test_solve_rejects_a_datum_of_the_wrong_shape():
