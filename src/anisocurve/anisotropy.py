@@ -151,7 +151,10 @@ def _upper_envelope(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         slopes.append(sx)
         heights.append(sy)
     s, c = np.ldexp(slopes, exponent), np.ldexp(heights, exponent)
-    return s, c, (c[:-1] - c[1:]) / (s[1:] - s[:-1])
+    envelope = s, c, (c[:-1] - c[1:]) / (s[1:] - s[:-1])
+    for array in envelope:
+        array.flags.writeable = False
+    return envelope
 
 
 def _support(envelope: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -186,10 +189,10 @@ class Anisotropy:
     from a JSON descriptor via :func:`anisotropy_from_json`.  Each gauge
     has one kind: ``lp`` holds 1 < q != 2 only, as lp(1) is the diamond
     polygon and lp(2) the Euclidean gauge, and a generic gauge is its
-    inscribed polygon.  Instances are immutable; the one lazily built cache,
-    the boundary polyline that every exposed face is read from (a
-    ``functools.cached_property``), is written once and safe for concurrent
-    reads afterwards.
+    inscribed polygon.  Instances are immutable, with read-only arrays; the
+    one lazily built cache, the boundary polyline that every exposed face is
+    read from (a ``functools.cached_property``), is written once and safe for
+    concurrent reads afterwards.
     """
 
     def __init__(self, kind: str, **params):
@@ -241,7 +244,7 @@ class Anisotropy:
 
     @classmethod
     def polygon(cls, vertices) -> "Anisotropy":
-        return cls("polygon", vertices=np.asarray(vertices, dtype=float))
+        return cls("polygon", vertices=vertices)
 
     @classmethod
     def generic(cls, evaluator: Callable[[float, float], float]) -> "Anisotropy":
@@ -261,8 +264,9 @@ class Anisotropy:
             raise AnisotropyError("generic evaluator must return finite positive values")
         return cls.polygon(dirs / values[:, None])
 
-    def _init_polygon(self, vertices: np.ndarray) -> None:
-        vertices = np.asarray(vertices, dtype=float)
+    def _init_polygon(self, vertices) -> None:
+        vertices = np.array(vertices, dtype=float)  # the gauge's own read-only copy
+        vertices.flags.writeable = False
         if vertices.ndim != 2 or vertices.shape[1] != 2 or len(vertices) < 4:
             raise AnisotropyError("polygon needs at least 4 vertices in R^2")
         if not (np.abs(vertices) < 1e150).all():  # keeps the products below finite
@@ -296,7 +300,7 @@ class Anisotropy:
         support = np.ldexp(np.einsum("ij,ij->i", unit, normals), -shift)
         self._params["vertices"] = vertices
         self._poly_area = 0.5 * math.ldexp(float(np.sum(cross)), -2 * shift)
-        self._poly_normals = normals
+        self._vertical_facets = bool(np.any(np.abs(normals[:, 1]) <= 1e-12))
         # phi° is the support function of the vertices, phi that of the polar vertices
         self.dual_envelope = _upper_envelope(vertices)
         self._gauge_envelope = _upper_envelope(normals / support[:, None])
@@ -428,6 +432,7 @@ class Anisotropy:
         length, and the face tolerance 2e-7 times its largest |point|."""
         pts = (self._params["vertices"] if self.kind == "polygon"
                else self.wulff_sample(DEFAULT_FACE_SAMPLES))
+        pts.flags.writeable = False  # faces hand out views of these points
         seg = np.hypot(*np.diff(np.vstack([pts, pts[:1]]), axis=0).T)
         tol = 2e-7 * float(np.hypot(pts[:, 0], pts[:, 1]).max())
         return pts, np.concatenate([[0.0], np.cumsum(seg[:-1])]), float(seg.sum()), tol
@@ -456,26 +461,17 @@ class Anisotropy:
         return WulffMeasures(area, 2.0 * area, 2.0 * root, 2.0 * root / (4.0 * area + 1.0))
 
     def symmetry_flags(self) -> SymmetryFlags:
+        """The regularity hypotheses the gauge meets.  A polygon is partially
+        monotone iff its vertices mirrored in the y axis (the x-axis mirror is their
+        negation) lie in W, phi <= 1 + 1e-9: a reflection that maps a convex body
+        into itself maps it onto itself, and phi is 1 at a vertex of any size."""
         if self._axes:
             a, b = self._axes
-            rbar = min(a * a / b, b * b / a)
-            return SymmetryFlags(True, False, True, rbar)
+            return SymmetryFlags(True, False, True, min(a * a / b, b * b / a))
         if self.kind == "lp":
             return SymmetryFlags(True, False, False, 0.0)
-        pm = self._vertex_set_axis_symmetric(self._params["vertices"])
-        vf = bool(np.any(np.abs(self._poly_normals[:, 1]) <= 1e-12))
-        return SymmetryFlags(pm, vf, False, 0.0)
-
-    @staticmethod
-    def _vertex_set_axis_symmetric(verts: np.ndarray) -> bool:
-        """Whether both axis mirrors map the vertices onto themselves (within 1e-9)."""
-        for flip in ((-1.0, 1.0), (1.0, -1.0)):
-            # a mirror reverses the orientation; roll to the image of vertex 0
-            mirrored = (verts * flip)[::-1]
-            start = int(np.argmin(np.hypot(*(mirrored - verts[0]).T)))
-            if np.any(np.hypot(*(np.roll(mirrored, -start, axis=0) - verts).T) > 1e-9):
-                return False
-        return True
+        pm = bool(np.all(self.eval_many(self.vertices * [-1.0, 1.0]) <= 1.0 + 1e-9))
+        return SymmetryFlags(pm, self._vertical_facets, False, 0.0)
 
     # -- exposed faces ------------------------------------------------
 

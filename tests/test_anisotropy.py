@@ -163,7 +163,53 @@ def test_flags_diamond():
     assert f.partially_monotone and not f.vertical_facets and not f.elliptic
 
 
+# the square with an extra vertex on its left and right sides, off the x axis
+COLLINEAR_SQUARE = [[1, -1], [1, 0.3], [1, 1], [-1, 1], [-1, -0.3], [-1, -1]]
+
+
+@pytest.mark.parametrize("size", [1e-162, 1e-100, 1e-12, 1.0, 3.0, 1e12, 1e100, 9e149])
+def test_polygon_flags_do_not_depend_on_its_size(size):
+    sheared_octagon = _regular_polygon(8) @ np.array([[1.0, 0.0], [0.3, 1.0]])
+    for vertices in (_regular_polygon(6, 0.3), sheared_octagon):
+        assert not Anisotropy.polygon(size * vertices).symmetry_flags().partially_monotone
+    diamond = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    for vertices, vertical in ((SQUARE, True), (diamond, False), (_regular_polygon(8), False),
+                               (_regular_polygon(4096), False), (COLLINEAR_SQUARE, True)):
+        flags = Anisotropy.polygon(size * np.array(vertices)).symmetry_flags()
+        assert flags.partially_monotone and flags.vertical_facets == vertical
+
+
 # -- exposed faces ------------------------------------------------------
+
+
+def test_gauge_arrays_are_read_only():
+    square = Anisotropy.polygon(SQUARE)
+    top = np.array([0.0, 1.0])
+    for aniso in (square, Anisotropy.ellipse(2.0, 0.5)):
+        with pytest.raises(ValueError):
+            aniso.exposed_face(top).midpoint[:] = 5.0
+    with pytest.raises(ValueError):
+        square.vertices[1] = 5.0
+    for array in square.dual_envelope:
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    assert np.array_equal(square.exposed_face(top).endpoints, [[1.0, 1.0], [-1.0, 1.0]])
+    assert square.eval_dual(top) == 1.0
+
+
+def test_polygon_keeps_its_own_copy_of_the_vertices():
+    given = np.array(SQUARE, dtype=float)
+    square = Anisotropy.polygon(given)
+    v = _wide_range_vectors()
+    dual, arc = square.eval_dual_many(v), square.exposed_face(np.array([0.0, 1.0]))
+    given[0] = [7.0, 7.0]
+    assert np.array_equal(square.vertices, SQUARE)
+    assert square.to_json() == {"kind": "polygon", "vertices": SQUARE}
+    assert np.array_equal(square.eval_dual_many(v), dual)
+    again = square.exposed_face(np.array([0.0, 1.0]))
+    assert (again.s_lo, again.s_hi) == (arc.s_lo, arc.s_hi)
+    assert np.array_equal(again.endpoints, arc.endpoints)
+    assert np.array_equal(again.midpoint, arc.midpoint)
 
 
 def test_exposed_face_euclidean_degenerate():

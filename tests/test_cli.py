@@ -102,6 +102,38 @@ def test_solve_then_classify(tmp_path, euclid_json):
     assert set(_manifest(out2)["wall_time_s"]) == {"classify", "emit"}
 
 
+def _regular_polygon(k, phase, size):
+    t = phase + 2.0 * math.pi * np.arange(k) / k
+    return (size * np.column_stack([np.cos(t), np.sin(t)])).tolist()
+
+
+@pytest.mark.parametrize("vertices, expected", [
+    (_regular_polygon(6, 0.3, 1e-12), "not_applicable"),
+    (_regular_polygon(8, 0.0, 1e12), "lipschitz"),
+], ids=["tiny-rotated-hexagon", "huge-octagon"])
+def test_regularity_class_does_not_depend_on_polygon_size(tmp_path, vertices, expected):
+    aniso = _write_json(tmp_path / "aniso.json", {"kind": "polygon", "vertices": vertices})
+    out = tmp_path / "out"
+    rc = main(["threshold", aniso, "--p", "1.5", "--length", "2", "--out-dir", str(out), "--quiet"])
+    assert rc == EXIT_OK
+    report = json.loads((out / "threshold.json").read_text())
+    assert report["regularity_class"] == expected
+    assert report["hypotheses"]["partially_monotone"] == (expected == "lipschitz")
+
+
+def test_tiny_rotated_hexagon_carries_the_hypothesis_warning(tmp_path):
+    aniso = _write_json(tmp_path / "aniso.json",
+                        {"kind": "polygon", "vertices": _regular_polygon(6, 0.3, 1e-12)})
+    nodes = np.linspace(-1.0, 1.0, 33)
+    profile = tmp_path / "profile.csv"
+    profile.write_text("s,u\n" + "".join(f"{s!r},{math.tanh(3.0 * s)!r}\n" for s in nodes.tolist()))
+    out = tmp_path / "out"
+    assert main(["classify", str(profile), aniso, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    verdict = json.loads((out / "cahn_hoffman.json").read_text())
+    assert verdict["hypothesis_warning"] == ("anisotropy is not partially monotone; "
+                                             "the characterization is heuristic")
+
+
 def test_solve_budget_exhausted_still_ok(tmp_path, capsys):
     prob = _write_json(tmp_path / "prob.json",
                        _problem_payload(solver={"max_iters": 1}))
