@@ -684,7 +684,10 @@ def anisotropy_from_json(descriptor) -> Anisotropy:
         return Anisotropy.lp(finite_number(descriptor["q"], "lp q"))
     if kind == "polygon":
         vertices = descriptor["vertices"]
-        if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
+        if not isinstance(vertices, list):
             raise AnisotropyError("polygon vertices must be a list of [x, y] pairs")
+        for k, v in enumerate(vertices):
+            if not isinstance(v, list) or len(v) != 2:
+                raise AnisotropyError(f"polygon vertex {k} must be an [x, y] pair")
         return Anisotropy.polygon(
             [[finite_number(c, "polygon vertex coordinate") for c in v] for v in vertices])

@@ -23,7 +23,7 @@ from .regularity import edge_unit_normals
 __all__ = ["EdgeNormals", "CahnHoffmanResult", "edge_normals", "cahn_hoffman"]
 
 JUMP_SLOPE_FACTOR = 1e4  # |du| > factor * h marks an edge as jump-like
-MONOTONE_TOL = 1e-12
+MONOTONE_TOL = 1e-12  # |du| above this times max |u| counts as a rise or a fall
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,10 @@ def edge_normals(u: Profile) -> EdgeNormals:
     return EdgeNormals(normals=normals, jump_flags=jumps, limit_normals=limits)
 
 
-def _monotone_class(du: np.ndarray) -> str:
-    up = np.any(du > MONOTONE_TOL)
-    down = np.any(du < -MONOTONE_TOL)
+def _monotone_class(values: np.ndarray) -> str:
+    du, tol = np.diff(values), MONOTONE_TOL * np.max(np.abs(values))
+    up = np.any(du > tol)
+    down = np.any(du < -tol)
     if up and down:
         return "none"
     if up:
@@ -96,6 +97,6 @@ def cahn_hoffman(aniso: Anisotropy, u: Profile) -> CahnHoffmanResult:
         feasible=feasible,
         witness_arc=aniso._arc_from_mask(running) if feasible else None,
         infeasibility_witness=witness_pair,
-        monotone=_monotone_class(u.edge_differences()),
+        monotone=_monotone_class(u.values),
         hypothesis_warning=warning,
     )

@@ -110,8 +110,8 @@ class GSpec:
     """Datum g: constant c, a two-level step of height a, or a CSV table.
 
     ``step(a)`` is +a on the right half of the interval and -a on the
-    left half; a node landing exactly on the discontinuity receives the
-    average of the one-sided limits.
+    left half, read off the node index; the middle node of an even grid
+    receives the average of the one-sided limits, 0.
     """
 
     kind: str
@@ -170,22 +170,20 @@ class GSpec:
         return {"kind": "csv", "path": self.path, "interp": self.interp}
 
     def sample(self, grid: Grid) -> np.ndarray:
-        nodes = grid.nodes()
+        n = grid.n_cells
         if self.kind == "constant":
-            return np.full(len(nodes), self.c)
-        if self.kind == "step":
-            mid = 0.5 * (grid.x_min + grid.x_max)
-            g = np.where(nodes > mid, self.a, -self.a)
-            g[np.abs(nodes - mid) <= 1e-15 * max(1.0, abs(mid))] = 0.0
-            return g
+            return np.full(n + 1, self.c)
+        if self.kind == "step":  # -a where 2k < n, +a where 2k > n; + 0.0 turns -0.0 into 0.0
+            return self.a * np.sign(2 * np.arange(n + 1) - n) + 0.0
         s, gv = self._table
-        if s[0] > grid.x_min + 1e-12 or s[-1] < grid.x_max - 1e-12:
+        slack = 1e-12 * max(abs(grid.x_min), abs(grid.x_max))
+        if s[0] > grid.x_min + slack or s[-1] < grid.x_max - slack:
             raise IngestionError(
                 f"csv covers [{s[0]}, {s[-1]}], needs [{grid.x_min}, {grid.x_max}]"
             )
         if self.interp == "linear":
-            return np.interp(nodes, s, gv)
-        idx = np.clip(np.searchsorted(s, nodes, side="right") - 1, 0, len(s) - 1)
+            return np.interp(grid.nodes(), s, gv)
+        idx = np.clip(np.searchsorted(s, grid.nodes(), side="right") - 1, 0, len(s) - 1)
         return gv[idx]
 
 
@@ -258,10 +256,9 @@ def read_profile_csv(path) -> Profile:
     s, values = _read_two_column_csv(path, "u")
     if len(s) < 2:
         raise IngestionError("profile csv needs at least two nodes")
-    h = np.diff(s)
-    if np.any(np.abs(h - h[0]) > 1e-9 * max(abs(s[0]), abs(s[-1]), 1.0)):
-        raise IngestionError("profile csv must live on a uniform grid")
     grid = Grid(float(s[0]), float(s[-1]), len(s) - 1)
+    if np.any(np.abs(s - grid.nodes()) > min(1e-9 * max(abs(s[0]), abs(s[-1])), 1e-2 * grid.h)):
+        raise IngestionError("profile csv must live on a uniform grid")
     return Profile(grid, values)
 
 

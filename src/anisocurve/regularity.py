@@ -37,7 +37,7 @@ JUMP_EXPONENT = 0.75
 JUMP_EXCESS_DECAY = 0.75
 JUMP_FRACTION = 0.125  # the probed jump, as a fraction of the datum's range
 FLAT_SLOPE = 1e-9  # slope maxima below this count as a flat profile
-MAX_PRINCIPLE_TOL = 1e-6  # lipschitz_report: how far u may leave the datum's range
+MAX_PRINCIPLE_TOL = 1e-6  # lipschitz_report: how far u may leave the datum's range, times ||g||_inf
 BALL_TOL_CELLS = 5.0  # tangent_ball_check: a ball may overlap the graph by this many h
 
 
@@ -77,7 +77,9 @@ def edge_unit_normals(u: Profile) -> np.ndarray:
 
 def lipschitz_report(u: Profile, g: np.ndarray) -> RegularityReport:
     """Slope maximum, minimal vertical normal component, and the
-    maximum-principle margins against [-||g^-||_inf, ||g^+||_inf]."""
+    maximum-principle margins against [-||g^-||_inf, ||g^+||_inf]; the
+    principle holds if u leaves that range by at most MAX_PRINCIPLE_TOL
+    ||g||_inf, so g = 0 allows no excursion."""
     g = np.asarray(g, dtype=float)
     h = u.grid.h
     du = u.edge_differences()
@@ -87,14 +89,8 @@ def lipschitz_report(u: Profile, g: np.ndarray) -> RegularityReport:
     lo = -float(np.max(np.maximum(-g, 0.0)))
     margin_low = float(np.min(u.values) - lo)
     margin_high = float(hi - np.max(u.values))
-    ok = margin_low >= -MAX_PRINCIPLE_TOL and margin_high >= -MAX_PRINCIPLE_TOL
-    return RegularityReport(
-        lipschitz_estimate=lip,
-        normal_deviation_min=deviation,
-        max_principle_ok=bool(ok),
-        max_principle_margin_low=margin_low,
-        max_principle_margin_high=margin_high,
-    )
+    ok = min(margin_low, margin_high) >= -MAX_PRINCIPLE_TOL * max(hi, -lo)
+    return RegularityReport(lip, deviation, ok, margin_low, margin_high)
 
 
 def refinement_study(

@@ -172,3 +172,20 @@ def test_hypothesis_warning_for_non_partially_monotone():
     grid = Grid(-1, 1, 8)
     res = cahn_hoffman(aniso, Profile(grid, np.zeros(9)))
     assert res.hypothesis_warning is not None
+
+
+MONOTONE_PROFILES = {
+    "tiny-quadratic": (1e-13 * np.linspace(0.0, 1.0, 9) ** 2, "nondecreasing"),
+    "staircase": (-_staircase(np.random.default_rng(4), 8), "nonincreasing"),
+    "constant": (np.full(9, 0.3), "constant"),
+    "wiggle": (1.0 + 1e-14 * (-1.0) ** np.arange(9), "constant"),
+    "bump": (1e-20 * np.array([0.0, 1, 2, 3, 4, 3, 2, 1, 0]), "none"),
+}
+
+
+@pytest.mark.parametrize("name", MONOTONE_PROFILES)
+def test_monotone_label_does_not_depend_on_the_profile_size(name):
+    values, label = MONOTONE_PROFILES[name]
+    grid = Grid(-1, 1, 8)
+    for k in range(-300, 301):
+        assert cahn_hoffman(SQUARE, Profile(grid, values * 2.0**k)).monotone == label, k

@@ -776,3 +776,38 @@ def test_malformed_csv_datum_exits_two_with_one_line(tmp_path, capsys, datum, me
     assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("vertex", [[3], [1, 2, 3], []], ids=["one", "three", "empty"])
+def test_polygon_vertex_of_the_wrong_length_exits_two_with_one_line(tmp_path, capsys, vertex):
+    aniso = _write_json(tmp_path / "aniso.json", {
+        "kind": "polygon", "vertices": [[1, 2], vertex, [1, 1], [2, 2]]})
+    out = tmp_path / "out"
+    rc = main(["threshold", aniso, "--p", "1", "--length", "2", "--out-dir", str(out), "--quiet"])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == "error: polygon vertex 1 must be an [x, y] pair\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_step_datum_on_a_tiny_interval_reaches_the_solve(tmp_path):
+    # g = -+0.5 on [-1e-16, 1e-16]: only u = g pays no fidelity, and u = g is no
+    # minimizer, as its jump costs 1 and a constant about 3e-16
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(
+        interval=[-1e-16, 1e-16], g={"kind": "step", "a": 0.5}, grid={"n": 16},
+        solver={"max_iters": 50}))
+    out = tmp_path / "out"
+    assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    assert json.loads((out / "solve_report.json").read_text())["energy"]["fidelity"] > 0.0
+
+
+@pytest.mark.parametrize("text", ["s,u\n1,0\n0.5,0\n0,0\n", "s,u\n0,0\n1e-12,0\n5e-12,0\n"],
+                         ids=["decreasing", "tiny-nonuniform"])
+def test_profile_csv_off_its_grid_exits_two_with_one_line(tmp_path, capsys, euclid_json, text):
+    path = tmp_path / "u.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["classify", str(path), euclid_json, "--out-dir", str(out), "--quiet"])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "cahn_hoffman.json").exists()

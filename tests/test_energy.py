@@ -250,3 +250,77 @@ def test_profile_csv_rejects_nonuniform(tmp_path):
     path.write_text("s,u\n0,0\n0.5,0\n2,0\n")
     with pytest.raises(IngestionError):
         read_profile_csv(path)
+
+
+# -- grid inputs at every scale -------------------------------------------
+
+
+@pytest.mark.parametrize("k", [-1000, -200, -60, 0, 60, 200, 1000])
+def test_step_sample_reads_the_jump_off_the_node_index(k):
+    grid = Grid(-(2.0**k), 2.0**k, 4)
+    np.testing.assert_array_equal(GSpec.step(0.5).sample(grid), [-0.5, -0.5, 0.0, 0.5, 0.5])
+    g = GSpec.step(-0.3).sample(grid)
+    np.testing.assert_array_equal(g, [0.3, 0.3, 0.0, -0.3, -0.3])
+    assert not np.signbit(g[2])  # the middle node is +0.0 for either sign of a
+
+
+def _unit_nodes_moved(k, by):
+    s = Grid(-1, 1, 8).nodes()
+    s[k] += by
+    return s
+
+
+# abscissae at unit size, and whether they form a uniform grid
+CSV_FAMILIES = {
+    "uniform": (Grid(-1, 1, 8).nodes(), True),
+    "offset": (Grid(3, 3.5, 10).nodes(), True),
+    "moved-5e-10": (_unit_nodes_moved(3, 5e-10), True),
+    "moved-2e-9": (_unit_nodes_moved(3, 2e-9), False),
+    "tiny": (np.array([0.0, 1e-12, 5e-12]), False),
+}
+
+
+@pytest.mark.parametrize("family", CSV_FAMILIES)
+def test_profile_csv_decision_does_not_depend_on_scale(tmp_path, family):
+    s, uniform = CSV_FAMILIES[family]
+    path = tmp_path / "u.csv"
+    for k in range(-900, 901):
+        write_two_column_csv(path, "s,u", s * 2.0**k, np.zeros(len(s)))
+        try:
+            read_profile_csv(path)
+            accepted = True
+        except IngestionError:
+            accepted = False
+        assert accepted == uniform, k
+
+
+@pytest.mark.parametrize("fraction", [0.02, 0.4])
+def test_profile_csv_at_an_offset_reads_its_writings_and_rejects_a_moved_node(tmp_path, fraction):
+    # nodes 1e6 + k h with h = 1e-3, where 1e-9 |s| alone would allow a whole cell
+    path = tmp_path / "u.csv"
+    for fmt in (".17g", ".10f"):
+        path.write_text("s,u\n" + "".join(f"{1e6 + 1e-3 * k:{fmt}},0\n" for k in range(9)))
+        assert read_profile_csv(path).grid.h == pytest.approx(1e-3, rel=1e-6)
+    s = 1e6 + 1e-3 * np.arange(9)
+    s[4] += fraction * 1e-3
+    write_two_column_csv(path, "s,u", s, np.zeros(9))
+    with pytest.raises(IngestionError, match="uniform grid"):
+        read_profile_csv(path)
+
+
+def test_sample_csv_coverage_is_relative_to_the_interval(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text("s,g\n0,0\n5e-14,1\n")
+    with pytest.raises(IngestionError, match="csv covers"):
+        GSpec.csv(path).sample(Grid(0.0, 1e-13, 4))
+
+
+@pytest.mark.parametrize("k", [-300, -40, 0, 40, 300])
+def test_sample_csv_coverage_does_not_depend_on_scale(tmp_path, k):
+    grid = Grid(-(2.0**k), 2.0**k, 4)
+    path = tmp_path / "g.csv"
+    write_two_column_csv(path, "s,g", np.array([-1.0, 1.0]) * 2.0**k, np.array([0.0, 1.0]))
+    np.testing.assert_array_equal(GSpec.csv(path).sample(grid), [0.0, 0.25, 0.5, 0.75, 1.0])
+    write_two_column_csv(path, "s,g", np.array([-0.5, 0.5]) * 2.0**k, np.array([0.0, 1.0]))
+    with pytest.raises(IngestionError, match="csv covers"):
+        GSpec.csv(path).sample(grid)

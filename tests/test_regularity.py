@@ -205,3 +205,22 @@ def test_tangent_ball_solver_output_at_theory_radius():
     ball = tangent_ball_check(EUCLID, sol.profile, 0.9 * rep.alpha0 / rep.lam)
     assert ball.fraction_verified_above >= 0.99
     assert ball.fraction_verified_below >= 0.99
+
+
+@pytest.mark.parametrize("raise_by, ok", [(0.0, True), (5e-7, False), (1e-16, True)],
+                         ids=["inside", "50-times-the-datum", "rounding"])
+def test_max_principle_flag_is_relative_to_the_datum(raise_by, ok):
+    grid = Grid(-1, 1, 8)
+    g = GSpec.step(1e-8).sample(grid)
+    u = g.copy()
+    u[-1] += raise_by
+    for k in range(-300, 301):
+        rep = lipschitz_report(Profile(grid, u * 2.0**k), g * 2.0**k)
+        assert rep.max_principle_ok == ok, k
+
+
+def test_zero_datum_allows_no_excursion():
+    grid = Grid(-1, 1, 8)
+    u = np.zeros(9)
+    u[3] = -1e-300
+    assert not lipschitz_report(Profile(grid, u), np.zeros(9)).max_principle_ok
