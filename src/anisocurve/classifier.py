@@ -23,7 +23,7 @@ from .regularity import edge_unit_normals
 __all__ = ["EdgeNormals", "CahnHoffmanResult", "edge_normals", "cahn_hoffman"]
 
 JUMP_SLOPE_FACTOR = 1e4  # |du| > factor * h marks an edge as jump-like
-MONOTONE_TOL = 1e-12  # |du| above this times max |u| counts as a rise or a fall
+MONOTONE_TOL = 1e-12  # |du| above this times the range of u counts as a rise or a fall
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ def edge_normals(u: Profile) -> EdgeNormals:
 
 
 def _monotone_class(values: np.ndarray) -> str:
-    du, tol = np.diff(values), MONOTONE_TOL * np.max(np.abs(values))
+    du = np.diff(values)
+    tol = MONOTONE_TOL * np.ptp(values)
     up = np.any(du > tol)
     down = np.any(du < -tol)
     if up and down:

@@ -176,7 +176,7 @@ class GSpec:
         if self.kind == "step":  # -a where 2k < n, +a where 2k > n; + 0.0 turns -0.0 into 0.0
             return self.a * np.sign(2 * np.arange(n + 1) - n) + 0.0
         s, gv = self._table
-        slack = 1e-12 * max(abs(grid.x_min), abs(grid.x_max))
+        slack = min(1e-12 * max(abs(grid.x_min), abs(grid.x_max)), 1e-2 * grid.h)
         if s[0] > grid.x_min + slack or s[-1] < grid.x_max - slack:
             raise IngestionError(
                 f"csv covers [{s[0]}, {s[-1]}], needs [{grid.x_min}, {grid.x_max}]"
@@ -257,7 +257,8 @@ def read_profile_csv(path) -> Profile:
     if len(s) < 2:
         raise IngestionError("profile csv needs at least two nodes")
     grid = Grid(float(s[0]), float(s[-1]), len(s) - 1)
-    if np.any(np.abs(s - grid.nodes()) > min(1e-9 * max(abs(s[0]), abs(s[-1])), 1e-2 * grid.h)):
+    tol = min(1e-9 * max(abs(s[0]), abs(s[-1])), 1e-2 * grid.h)
+    if np.any(np.abs(s - grid.nodes()) > tol):
         raise IngestionError("profile csv must live on a uniform grid")
     return Profile(grid, values)
 

@@ -37,7 +37,7 @@ JUMP_EXPONENT = 0.75
 JUMP_EXCESS_DECAY = 0.75
 JUMP_FRACTION = 0.125  # the probed jump, as a fraction of the datum's range
 FLAT_SLOPE = 1e-9  # slope maxima below this count as a flat profile
-MAX_PRINCIPLE_TOL = 1e-6  # lipschitz_report: how far u may leave the datum's range, times ||g||_inf
+MAX_PRINCIPLE_TOL = 1e-6  # lipschitz_report: how far u may leave the datum's range, times its width
 BALL_TOL_CELLS = 5.0  # tangent_ball_check: a ball may overlap the graph by this many h
 
 
@@ -79,7 +79,7 @@ def lipschitz_report(u: Profile, g: np.ndarray) -> RegularityReport:
     """Slope maximum, minimal vertical normal component, and the
     maximum-principle margins against [-||g^-||_inf, ||g^+||_inf]; the
     principle holds if u leaves that range by at most MAX_PRINCIPLE_TOL
-    ||g||_inf, so g = 0 allows no excursion."""
+    (max g - min g), so a constant datum allows no excursion."""
     g = np.asarray(g, dtype=float)
     h = u.grid.h
     du = u.edge_differences()
@@ -89,8 +89,14 @@ def lipschitz_report(u: Profile, g: np.ndarray) -> RegularityReport:
     lo = -float(np.max(np.maximum(-g, 0.0)))
     margin_low = float(np.min(u.values) - lo)
     margin_high = float(hi - np.max(u.values))
-    ok = min(margin_low, margin_high) >= -MAX_PRINCIPLE_TOL * max(hi, -lo)
-    return RegularityReport(lip, deviation, ok, margin_low, margin_high)
+    ok = min(margin_low, margin_high) >= -MAX_PRINCIPLE_TOL * float(np.ptp(g))
+    return RegularityReport(
+        lipschitz_estimate=lip,
+        normal_deviation_min=deviation,
+        max_principle_ok=ok,
+        max_principle_margin_low=margin_low,
+        max_principle_margin_high=margin_high,
+    )
 
 
 def refinement_study(

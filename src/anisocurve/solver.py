@@ -24,7 +24,9 @@ term per node.  :func:`solve` picks the method from the input:
 - every other input takes :func:`_solve_newton`.  The Hessian is
   tridiagonal for every gauge, and a damped Newton method solves the
   tridiagonal system H d = -grad E in O(n) per step (cyclic reduction
-  down to a Thomas sweep).
+  down to a Thomas sweep) by an elimination that never subtracts, so the
+  fidelity's curvature counts even where it is far below the edges' (a
+  cell far below the datum's size).
 
 Both iterative methods run one loop, :func:`_descend`: a step from the
 method's model, an Armijo backtrack along it, and a continuation in the
@@ -85,7 +87,12 @@ _CHAIN_EPS_FACTOR = 1e-3
 _STAGE_TOL = 1e-2
 _ARMIJO = 0.25  # sufficient-decrease fraction of the backtracking line search
 # relative diagonal shift that keeps the Hessian definite where the smoothed
-# energy is flat to rounding
+# energy is flat to rounding: _RIDGE times the geometric mean of the largest
+# node (fidelity) and edge curvatures, or the largest edge curvature where no
+# node has any.  The two grow apart like h^-2 as the cells shrink: a shift
+# relative to the edges alone would swamp the node curvatures that move the
+# profile as a whole, and one relative to the nodes alone leaves the nearly
+# flat directions of a smoothed polygon gauge undamped
 _RIDGE = 1e-14
 # the final polish may raise the exact energy by this much (relative), the
 # rounding of an energy sum
@@ -183,7 +190,8 @@ def _solve_newton(
     """Damped Newton steps from u = g on the smoothed energy, run by :func:`_descend`.
 
     Each step solves the tridiagonal Newton system H d = -grad of the
-    smoothed energy (see the module docstring) and predicts the decrease
+    smoothed energy by :func:`_solve_path_laplacian`, as H is the edges'
+    curvatures on a path plus the nodes', and predicts the decrease
     -grad . d, the squared Newton decrement.  eps starts at the floor when
     nothing is smoothed (p >= 2 and a smooth dual gauge).  ``iterations``
     counts Newton systems solved.
@@ -201,13 +209,11 @@ def _solve_newton(
         return float(area.sum() + (w * fid).sum()), da, dda, w * dfid, w * ddfid
 
     def step(u: np.ndarray, eps: float):
-        value, da, dda, grad, diag = smoothed(u, eps)
+        value, da, dda, grad, excess = smoothed(u, eps)
         grad[:-1] += da
         grad[1:] -= da
-        diag[:-1] += dda
-        diag[1:] += dda
-        diag += _RIDGE * diag.max()
-        d = _solve_tridiagonal(diag, -dda, -grad)
+        excess += _RIDGE * (math.sqrt(excess.max()) * math.sqrt(dda.max()) or dda.max())
+        d = _solve_path_laplacian(dda, excess, -grad)
         return value, d, -float(grad @ d)
 
     eps = _EPS_FLOOR if p >= 2.0 and aniso.smooth_dual else _EPS_START
@@ -280,8 +286,8 @@ def _descend(u, eps, factor, scale, step, objective, cfg):
     ``objective(u, eps)`` is E.  The line search halves t from
     min(1, scale / max|d|) until E(u + t d) <= E(u) - 1/4 t gain < E(u)
     (Armijo), and gives up once the decrease it asks for is below the
-    rounding of E.  The relative decrement gain / (2 (1 + |E|)) estimates
-    the relative distance to the smoothed minimum.  A smoothing stage ends
+    rounding of E.  The relative decrement gain / (2 |E|) estimates the
+    relative distance to the smoothed minimum.  A smoothing stage ends
     after a step whose decrement is at most 1e-2 eps or whose line search
     gave up: eps is multiplied by ``factor``, down to the floor.  There
     the solve converges once the decrement is at most ``cfg.tol_rel``
@@ -296,7 +302,7 @@ def _descend(u, eps, factor, scale, step, objective, cfg):
         if not np.isfinite(d).all():
             raise SolverDivergenceError(iterations)
         gain = max(0.0, gain)
-        decrement = gain / (2.0 * (1.0 + abs(value)))
+        decrement = gain / (2.0 * abs(value)) if gain else 0.0
         t = min(1.0, scale / max(float(np.abs(d).max()), 1e-300))
         moved = False
         while not moved and value - _ARMIJO * t * gain < value:
@@ -446,7 +452,7 @@ def _polished_report(
     def polished(profile, report, values):
         candidate = Profile(grid, values)
         candidate_energy = energy(aniso, candidate, g, p)
-        if candidate_energy.total <= report.total + _ROUNDING * (1.0 + abs(report.total)):
+        if candidate_energy.total <= report.total * (1.0 + _ROUNDING):
             return candidate, candidate_energy
         return profile, report
 
@@ -494,42 +500,60 @@ def _smoothed_power(t: np.ndarray, p: float, eps: float):
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the symmetric tridiagonal system with diagonal diag and off-diagonal off.
 
-    Odd-even cyclic reduction: eliminating the odd-indexed unknowns leaves
-    a symmetric tridiagonal system in the even-indexed ones, half the size,
-    so each level costs a few whole-array operations.  Below _THOMAS_MAX
-    unknowns a Thomas sweep over Python floats is cheaper.  Both are
-    Gaussian elimination without pivoting on a symmetric permutation of the
-    matrix, which is stable for the positive definite systems of
-    :func:`solve`.  A zero pivot makes the result non-finite in both.
+    Changing the sign of unknowns turns every off-diagonal entry into
+    -|off|, the form that :func:`_solve_path_laplacian` solves, with the
+    excess diag - |off_left| - |off_right|.
     """
-    n = len(diag)
+    sign = np.cumprod(np.r_[1.0, np.where(off > 0.0, -1.0, 1.0)])
+    edge = np.abs(off)
+    return sign * _solve_path_laplacian(edge, diag - np.r_[edge, 0.0] - np.r_[0.0, edge], sign * rhs)
+
+
+def _solve_path_laplacian(edge: np.ndarray, excess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (D^T diag(edge) D + diag(excess)) x = rhs, D the difference operator of a path.
+
+    The matrix has edge_{i-1} + edge_i + excess_i on its diagonal and
+    -edge_i beside it.  Elimination keeps each pivot as its coupling to
+    the right plus the excess that has reached the node (Grassmann, Taksar
+    & Heyman, "Regenerative analysis and steady state distributions for
+    Markov chains", Oper. Res. 33, 1985), so with edge, excess >= 0 no
+    pivot is formed by a subtraction: an excess far below the couplings,
+    which the diagonal edge + edge + excess would round away, still sets
+    the solution.  Odd-even cyclic reduction eliminates the odd-indexed
+    unknowns, which leaves a system of the same form in the even-indexed
+    ones, half the size; below _THOMAS_MAX unknowns a Thomas sweep over
+    Python floats is cheaper.  A zero pivot makes the result non-finite
+    in both.
+    """
+    n = len(excess)
     if n <= _THOMAS_MAX:
-        b, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+        a, f, x = edge.tolist() + [0.0], excess.tolist(), rhs.tolist()
+        carried = f[0]  # the excess that has reached node i
+        pivots = [a[0] + carried]
         try:
             for i in range(1, n):
-                m = e[i - 1] / b[i - 1]
-                b[i] -= m * e[i - 1]
-                x[i] -= m * x[i - 1]
-            x[-1] /= b[-1]
+                m = a[i - 1] / pivots[-1]
+                x[i] += m * x[i - 1]
+                carried = f[i] + m * carried
+                pivots.append(a[i] + carried)
+            x[-1] /= pivots[-1]
             for i in range(n - 2, -1, -1):
-                x[i] = (x[i] - e[i] * x[i + 1]) / b[i]
+                x[i] = (x[i] + a[i] * x[i + 1]) / pivots[i]
         except ZeroDivisionError:  # a zero pivot; cyclic reduction gives NaN there
             return np.full(n, math.nan)
         return np.array(x)
     if n % 2 == 0:  # pad with the decoupled equation x = 0
-        diag, off, rhs = np.append(diag, 1.0), np.append(off, 0.0), np.append(rhs, 0.0)
-    inv = 1.0 / diag[1::2]
-    left, right, rhs_odd = off[0::2], off[1::2], rhs[1::2]
+        edge, excess, rhs = np.append(edge, 0.0), np.append(excess, 1.0), np.append(rhs, 0.0)
+    left, right = edge[0::2], edge[1::2]  # the couplings of each odd unknown
+    inv = 1.0 / (left + right + excess[1::2])
     left_q, right_q = left * inv, right * inv
-    diag_even = diag[0::2].copy()
-    diag_even[:-1] -= left * left_q
-    diag_even[1:] -= right * right_q
-    rhs_even = rhs[0::2].copy()
-    rhs_even[:-1] -= left_q * rhs_odd
-    rhs_even[1:] -= right_q * rhs_odd
-    x = np.empty(len(diag))
-    x[0::2] = even = _solve_tridiagonal(diag_even, -left_q * right, rhs_even)
-    x[1::2] = (rhs_odd - left * even[:-1] - right * even[1:]) * inv
+    excess_even, rhs_even = excess[0::2].copy(), rhs[0::2].copy()
+    for part, odd in ((excess_even, excess[1::2]), (rhs_even, rhs[1::2])):
+        part[:-1] += left_q * odd
+        part[1:] += right_q * odd
+    x = np.empty(len(excess))
+    x[0::2] = even = _solve_path_laplacian(left * right_q, excess_even, rhs_even)
+    x[1::2] = (rhs[1::2] + left * even[:-1] + right * even[1:]) * inv
     return x[:n]
 
 

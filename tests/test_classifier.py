@@ -178,7 +178,7 @@ MONOTONE_PROFILES = {
     "tiny-quadratic": (1e-13 * np.linspace(0.0, 1.0, 9) ** 2, "nondecreasing"),
     "staircase": (-_staircase(np.random.default_rng(4), 8), "nonincreasing"),
     "constant": (np.full(9, 0.3), "constant"),
-    "wiggle": (1.0 + 1e-14 * (-1.0) ** np.arange(9), "constant"),
+    "offset-rises": (1e3 + 1e-10 * np.arange(9), "nondecreasing"),
     "bump": (1e-20 * np.array([0.0, 1, 2, 3, 4, 3, 2, 1, 0]), "none"),
 }
 

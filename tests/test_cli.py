@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisocurve import RasterSet, SolverDivergenceError, sigma_threshold, write_raster
+from anisocurve import (Anisotropy, GSpec, Grid, Profile, RasterSet, SolverDivergenceError, energy,
+                        sigma_threshold, write_raster)
 from anisocurve.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, _Run, main
 
 
@@ -789,15 +790,22 @@ def test_polygon_vertex_of_the_wrong_length_exits_two_with_one_line(tmp_path, ca
     assert not (out / "manifest.json").exists()
 
 
-def test_step_datum_on_a_tiny_interval_reaches_the_solve(tmp_path):
-    # g = -+0.5 on [-1e-16, 1e-16]: only u = g pays no fidelity, and u = g is no
-    # minimizer, as its jump costs 1 and a constant about 3e-16
-    prob = _write_json(tmp_path / "prob.json", _problem_payload(
-        interval=[-1e-16, 1e-16], g={"kind": "step", "a": 0.5}, grid={"n": 16},
-        solver={"max_iters": 50}))
+def test_step_datum_on_a_tiny_interval_is_solved(tmp_path):
+    # g = -+0.5 on [-1e-16, 1e-16], cells narrower than the spacing of floats
+    # near 0.5: the jump of u = g costs about 1 and the constant 0 about 3e-16,
+    # so the minimizer is close to that constant; the default budget applies
+    payload = _problem_payload(interval=[-1e-16, 1e-16], g={"kind": "step", "a": 0.5},
+                               grid={"n": 16})
+    del payload["solver"]
+    prob = _write_json(tmp_path / "prob.json", payload)
     out = tmp_path / "out"
     assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_OK
-    assert json.loads((out / "solve_report.json").read_text())["energy"]["fidelity"] > 0.0
+    report = json.loads((out / "solve_report.json").read_text())
+    grid = Grid(-1e-16, 1e-16, 16)
+    g = GSpec.step(0.5).sample(grid)
+    constant = energy(Anisotropy.euclidean(), Profile(grid, np.zeros(17)), g, 1.0).total
+    assert report["converged"] and report["energy"]["fidelity"] > 0.0
+    assert report["energy"]["total"] <= constant * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("text", ["s,u\n1,0\n0.5,0\n0,0\n", "s,u\n0,0\n1e-12,0\n5e-12,0\n"],

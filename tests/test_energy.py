@@ -315,6 +315,17 @@ def test_sample_csv_coverage_is_relative_to_the_interval(tmp_path):
         GSpec.csv(path).sample(Grid(0.0, 1e-13, 4))
 
 
+def test_sample_csv_coverage_at_an_offset_is_below_a_cell(tmp_path):
+    # [1e6, 1e6 + 1e-3] in 1000 cells: 1e-12 of the offset is a whole cell h
+    grid = Grid(1e6, 1e6 + 1e-3, 1000)
+    path = tmp_path / "g.csv"
+    write_two_column_csv(path, "s,g", grid.nodes()[[0, -1]], np.array([0.0, 1.0]))
+    assert GSpec.csv(path).sample(grid).shape == (1001,)
+    write_two_column_csv(path, "s,g", grid.nodes()[[1, -2]], np.array([0.0, 1.0]))
+    with pytest.raises(IngestionError, match="csv covers"):
+        GSpec.csv(path).sample(grid)
+
+
 @pytest.mark.parametrize("k", [-300, -40, 0, 40, 300])
 def test_sample_csv_coverage_does_not_depend_on_scale(tmp_path, k):
     grid = Grid(-(2.0**k), 2.0**k, 4)

@@ -219,6 +219,19 @@ def test_max_principle_flag_is_relative_to_the_datum(raise_by, ok):
         assert rep.max_principle_ok == ok, k
 
 
+@pytest.mark.parametrize("raise_by, ok", [(0.0, True), (0.5, False)],
+                         ids=["inside", "half-the-range"])
+def test_max_principle_flag_does_not_loosen_at_an_offset(raise_by, ok):
+    # g = 1e6 -+ 0.5: a tolerance relative to ||g||_inf would allow 1, the
+    # datum's whole range
+    grid = Grid(-1, 1, 8)
+    g = 1e6 + GSpec.step(0.5).sample(grid)
+    u = g.copy()
+    u[-1] += raise_by
+    for k in range(-300, 301):
+        assert lipschitz_report(Profile(grid, u * 2.0**k), g * 2.0**k).max_principle_ok == ok, k
+
+
 def test_zero_datum_allows_no_excursion():
     grid = Grid(-1, 1, 8)
     u = np.zeros(9)

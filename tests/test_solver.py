@@ -18,7 +18,8 @@ from anisocurve import (
     solve,
 )
 from anisocurve.energy import energy_totals
-from anisocurve.solver import _lattice_minimum, _solve_chain, _solve_newton, _solve_tridiagonal
+from anisocurve.solver import (_lattice_minimum, _solve_chain, _solve_newton, _solve_path_laplacian,
+                               _solve_tridiagonal)
 from anisocurve import reference as ref
 from pdhg_reference import _prox_fidelity_many, _solve_pdhg, prox_fidelity
 
@@ -326,6 +327,34 @@ def test_tridiagonal_solver_on_a_singular_system_is_not_finite(n):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = _solve_tridiagonal(np.zeros(n), np.zeros(n - 1), np.ones(n))
     assert x.shape == (n,) and not np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("n", [5, 300])
+def test_path_laplacian_keeps_an_excess_far_below_the_couplings(n):
+    # couplings 1e16 and an excess of 1e-16 at node 0 only: a unit load at the
+    # far end holds every node at about 1 / 1e-16; the diagonal 1e16 + 1e-16
+    # would round the excess away and leave the system singular
+    excess = np.zeros(n)
+    excess[0] = 1e-16
+    x = _solve_path_laplacian(np.full(n - 1, 1e16), excess, np.r_[np.zeros(n - 1), 1.0])
+    np.testing.assert_allclose(x, 1e16, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_newton_converges_on_intervals_far_below_the_datum(p):
+    # a step of 0.5 on [-L, L]: the constant 0 bounds the minimum energy and is
+    # the minimizer once L is small.  From L = 1e-14 on the cells are about as
+    # narrow as the spacing of floats near 0.5; there the Newton shift damps
+    # the move of the whole profile, which leaves the energy up to about 5e-7
+    # (relative) above the constant's
+    for n in (16, 200):
+        for length in (1.0, 1e-6, 1e-12, 1e-14, 1e-16):
+            grid = Grid(-length, length, n)
+            g = GSpec.step(0.5).sample(grid)
+            rep = solve(EUCLID, grid, g, p, SolverConfig(max_iters=2000))
+            constant = energy(EUCLID, Profile(grid, np.zeros(n + 1)), g, p).total
+            assert rep.converged, (n, length)
+            assert rep.energy.total <= constant * (1.0 + 1e-6), (n, length)
 
 
 @pytest.mark.parametrize("gauge", sorted(GAUGES))
