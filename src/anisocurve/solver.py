@@ -506,7 +506,8 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     """
     sign = np.cumprod(np.r_[1.0, np.where(off > 0.0, -1.0, 1.0)])
     edge = np.abs(off)
-    return sign * _solve_path_laplacian(edge, diag - np.r_[edge, 0.0] - np.r_[0.0, edge], sign * rhs)
+    excess = diag - np.r_[edge, 0.0] - np.r_[0.0, edge]
+    return sign * _solve_path_laplacian(edge, excess, sign * rhs)
 
 
 def _solve_path_laplacian(edge: np.ndarray, excess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
