@@ -358,8 +358,9 @@ class Anisotropy:
         - lp(q): (|r|^q' + h^q')^(1/q') with q' = q / (q - 1) and |r|^q'
           replaced by (r^2 + (eps h)^2)^(q'/2), which bounds the curvature at
           r = 0 for q > 2; it adds at most eps h;
-        - polygon: a log-sum-exp of the vertex support values <v_k, (r, h)>
-          at temperature eps h; it adds at most eps h log K for K vertices.
+        - polygon: a log-sum-exp of the m lines r s_j + h c_j of
+          ``dual_envelope`` at temperature eps h, taken about the line on
+          top, which the bisection of phi° finds; it adds at most eps h log m.
 
         Each is an upper bound of phi° that is exact as eps -> 0, and the
         gradient (d/dr, d/dh) lies in the Wulff shape.  ``smooth_dual`` is
@@ -384,16 +385,17 @@ class Anisotropy:
             ga, gh = pa * root / s, ph * root / s  # the gradient (a, h)^(q'-1) / f^(q'-1)
             f2 = ga / a * ((qd - 1.0) * gh * rh / root * (r / a) ** 2 + (eps * h / a) ** 2)
             return m * root, ga * r / a, f2, gh
-        vx, vy = self._params["vertices"].T
+        slopes, heights, _ = self.dual_envelope
         temp = eps * h
-        z = np.multiply.outer(r, vx / temp) + vy / eps
-        top = z.max(axis=-1)
-        weights = np.exp(z - top[..., None])
+        top = _support(self.dual_envelope, r, h)  # phi°, the value of the line on top
+        with np.errstate(over="ignore"):  # a line far below weighs exp(-inf) = 0
+            below = np.multiply.outer(r, slopes) + h * heights - top[..., None]
+            weights = np.exp(np.minimum(below / temp, 0.0))
         total = weights.sum(axis=-1)
         weights /= total[..., None]
-        f1 = weights @ vx
-        f2 = (weights * (vx - f1[..., None]) ** 2).sum(axis=-1) / temp
-        return temp * (top + np.log(total)), f1, f2, weights @ vy
+        f1 = weights @ slopes
+        f2 = (weights * (slopes - f1[..., None]) ** 2).sum(axis=-1) / temp
+        return top + temp * np.log(total), f1, f2, weights @ heights
 
     def boundary_point(self, d) -> np.ndarray:
         """The point d / phi(d) on the Wulff boundary."""

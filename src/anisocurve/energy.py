@@ -50,9 +50,10 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max) and self.x_min < self.x_max):
-            raise ValueError(f"grid requires finite x_min < x_max, got {self.x_min}, {self.x_max}")
         positive_integer(self.n_cells, "grid n_cells")
+        if not 0.0 < (self.x_max - self.x_min) / self.n_cells < math.inf:
+            raise ValueError(f"grid on [{self.x_min}, {self.x_max}] with n_cells = "
+                             f"{self.n_cells} needs a finite positive cell width")
 
     @property
     def h(self) -> float:

@@ -36,21 +36,21 @@ are smoothed with a relative width eps: |t|^p of the fidelity becomes
 length, for p < 2 (Newton) or every p other than 1 and 2 (the chain),
 and Newton's gauge term uses :meth:`Anisotropy.smoothed_dual` at width
 eps h (a smoothed |r|^q' for lp(q > 2)).  The chain never smooths the
-gauge: since :func:`solve` sends every polygon to the chain, the
-log-sum-exp polygon branch of ``smoothed_dual`` serves only
-``dual_feasibility_max_violation`` and the tests' Newton reference.
-eps starts at 1e-2 and shrinks each time the iteration settles (five-fold
-for Newton, a thousandfold for the chain), down to a fixed floor of 1e-10
-(continuation); Newton problems with no nonsmooth piece start at the
-floor.  Every smoothed term is an upper bound of the
-exact one; at the floor the excess is at most about 1e-10 (S + h log K)
-per unit length for a K-vertex polygon.  The floor is not lower because
+gauge: since :func:`solve` sends every polygon to the chain, the polygon
+branch of ``smoothed_dual``, a log-sum-exp over the m lines of the same
+envelope, serves only ``dual_feasibility_max_violation`` and the tests'
+Newton reference.  eps starts at 1e-2 and shrinks each time the
+iteration settles (five-fold for Newton, a thousandfold for the chain),
+down to a fixed floor of 1e-10 (continuation); Newton problems with no
+nonsmooth piece start at the floor.  Every smoothed term is an upper
+bound of the exact one; at the floor the excess is at most about
+1e-10 (S + h log m) per unit length.  The floor is not lower because
 the energy changes across a smoothed kink, about eps h, must stay well
 above the rounding of the energy sum for the line search to resolve
 them.  The smoothing also scatters the nodes that the exact minimizer
 keeps on the datum by about eps S; the final polish of :func:`solve`
-puts them back.  A number that leaves the floats becomes NaN, and a NaN
-step or sweep raises :class:`SolverDivergenceError`.
+puts them back.  A number that leaves the floats becomes NaN; a NaN step
+or sweep, or an infinite energy, raises :class:`SolverDivergenceError`.
 """
 
 from __future__ import annotations
@@ -161,7 +161,8 @@ def solve(
     ``iterations`` count sweeps.  Every other input takes the damped
     Newton method of :func:`_solve_newton` (``method`` ``"newton"``).
     Each function describes its report fields.  A datum with a non-finite
-    sample raises :class:`SolverDivergenceError` at iteration 1.
+    sample raises :class:`SolverDivergenceError` at iteration 1, and a
+    result whose exact energy overflows raises it at the last iteration.
 
     Either way the result is then polished: nodes within 1e-7 S of the
     datum are put back on it, and the profile is truncated to the datum's
@@ -459,6 +460,8 @@ def _polished_report(
     scale = float(np.ptp(g)) + grid.length
     profile = Profile(grid, u)
     report_energy = energy(aniso, profile, g, p)
+    if not math.isfinite(report_energy.total):
+        raise SolverDivergenceError(iterations)
     profile, report_energy = polished(
         profile, report_energy, np.where(np.abs(u - g) <= _SNAP * scale, g, u))
     profile, report_energy = polished(
@@ -466,7 +469,7 @@ def _polished_report(
     values = profile.values
     _, n1, _, n2 = aniso.smoothed_dual(values[:-1] - values[1:], grid.h, eps)
     field = np.column_stack([n1, n2])
-    violation = float(np.max(aniso.eval_many(field)) - 1.0) if len(field) else 0.0
+    violation = float(np.max(aniso.eval_many(field)) - 1.0)
     return SolveReport(
         profile=profile,
         energy=report_energy,
@@ -495,19 +498,6 @@ def _smoothed_power(t: np.ndarray, p: float, eps: float):
     s = t * t + eps * eps
     sp = s ** (0.5 * p - 2.0)
     return s * s * sp, p * t * s * sp, p * ((p - 1.0) * t * t + eps * eps) * sp
-
-
-def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric tridiagonal system with diagonal diag and off-diagonal off.
-
-    Changing the sign of unknowns turns every off-diagonal entry into
-    -|off|, the form that :func:`_solve_path_laplacian` solves, with the
-    excess diag - |off_left| - |off_right|.
-    """
-    sign = np.cumprod(np.r_[1.0, np.where(off > 0.0, -1.0, 1.0)])
-    edge = np.abs(off)
-    excess = diag - np.r_[edge, 0.0] - np.r_[0.0, edge]
-    return sign * _solve_path_laplacian(edge, excess, sign * rhs)
 
 
 def _solve_path_laplacian(edge: np.ndarray, excess: np.ndarray, rhs: np.ndarray) -> np.ndarray:

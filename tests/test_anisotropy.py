@@ -553,6 +553,17 @@ def test_json_rejects_unknown_kind():
         anisotropy_from_json({"kind": "hexagonish"})
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Anisotropy.euclidean().eval([1.0, 2.0, 3.0]),
+    lambda: Anisotropy("hexagon"),
+    lambda: Anisotropy.generic(3.0),
+    lambda: Anisotropy.euclidean().exposed_face([1.0, 1.0]),
+], ids=["eval-3-vector", "unknown-kind", "generic-not-callable", "face-not-unit"])
+def test_malformed_arguments_raise_anisotropy_error(call):
+    with pytest.raises(AnisotropyError):
+        call()
+
+
 # -- smoothed dual gauge (the Newton solver's edge term) ----------------
 
 
@@ -588,6 +599,33 @@ def test_smoothed_dual_bounds_derivatives_and_dual_field(aniso, vertices):
     np.testing.assert_allclose(f2, (f1p - f1m) / (2 * step), rtol=1e-4, atol=1e-3)
     # the width is relative to h, so phi°_eps is one-homogeneous in (r, h)
     np.testing.assert_allclose(aniso.smoothed_dual(3.0 * r, 3.0 * h, eps)[0], 3.0 * f, rtol=1e-13)
+
+
+@pytest.mark.parametrize("aniso", [
+    Anisotropy.polygon([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+    Anisotropy.polygon([[math.cos(t), math.sin(t)] for t in 0.3 + math.pi / 3 * np.arange(6)]),
+    Anisotropy.generic(math.hypot),
+], ids=["square", "hexagon", "generic-hypot"])
+def test_polygon_smoothed_dual_holds_at_ties_and_at_every_scale(aniso):
+    # slopes r / h on the envelope's hand-over points (ties of two lines), beside
+    # them, at 0 and far out, where r / (eps h) reaches 5e310, beyond the floats
+    slopes, _, handover = aniso.dual_envelope
+    m = len(slopes)
+    near = np.concatenate([handover, handover - 1e-3, handover + 1e-3, [0.0]])
+    for scale in (1.0, 1e150, 1e300):
+        for h in (1e-3, 1.0):
+            r = h * np.concatenate([near, [-5.0 * scale, 5.0 * scale]])
+            exact = aniso.eval_dual_many(np.column_stack([r, np.full(len(r), h)]))
+            rounding = 2.0 * np.spacing(exact)
+            for eps in (1e-2, 1e-10):
+                # in slices, as a 4096-vertex gauge keeps (n, m) arrays
+                parts = [aniso.smoothed_dual(r[k:k + 256], h, eps) for k in range(0, len(r), 256)]
+                f, f1, f2, fh = (np.concatenate(column) for column in zip(*parts))
+                assert all(np.isfinite(out).all() for out in (f, f1, f2, fh))
+                excess = f - exact
+                assert np.all(excess >= -rounding)
+                assert np.all(excess <= eps * h * math.log(m) + rounding)
+                assert np.max(aniso.eval_many(np.column_stack([f1, fh]))) <= 1.0 + 1e-12
 
 
 # -- one representation per gauge ---------------------------------------

@@ -294,8 +294,9 @@ RASTER_ROWS = "1 0\n0 1\n"
     '{"box": [0, 1, 0, 1], "nx": 2, "ny": 2, "dx": 0.5}\n' + RASTER_ROWS,
     "",
     '[0, 1, 0, 1]\n' + RASTER_ROWS,
+    '{"box": [0, 1], "nx": 2, "ny": 2}\n' + RASTER_ROWS,
 ], ids=["cell-x", "cell-2", "cell-10", "cell-01", "nx-fraction", "ny-float", "nx-bool",
-        "box-overflow", "box-string", "unknown-key", "empty", "header-list"])
+        "box-overflow", "box-string", "unknown-key", "empty", "header-list", "box-short"])
 def test_malformed_raster_exits_two_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "set.raster"
     path.write_text(text)
@@ -524,8 +525,12 @@ INF = float("inf")
     {"g": {"kind": "sine", "a": 0.05}},
     {"solver": [4000]},
     {"anisotropy": {"kind": "polygon", "vertices": "square"}},
+    {"interval": [0]},
+    {"interval": [-1e308, 1e308]},
+    {"interval": [0.0, 5e-324], "grid": {"n": 2}},
 ], ids=["ellipse-a-null", "q-null", "p-null", "g-list", "n-fraction", "interval-inf",
-        "q-inf", "ellipse-a-inf", "g-unknown-kind", "solver-list", "vertices-string"])
+        "q-inf", "ellipse-a-inf", "g-unknown-kind", "solver-list", "vertices-string",
+        "interval-short", "interval-overflow", "interval-underflow"])
 def test_wrongly_typed_or_non_finite_fields_exit_two(tmp_path, capsys, overrides):
     _exits_two_with_one_line(tmp_path, capsys, _problem_payload(**overrides))
 
@@ -808,8 +813,9 @@ def test_step_datum_on_a_tiny_interval_is_solved(tmp_path):
     assert report["energy"]["total"] <= constant * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("text", ["s,u\n1,0\n0.5,0\n0,0\n", "s,u\n0,0\n1e-12,0\n5e-12,0\n"],
-                         ids=["decreasing", "tiny-nonuniform"])
+@pytest.mark.parametrize("text", ["s,u\n1,0\n0.5,0\n0,0\n", "s,u\n0,0\n1e-12,0\n5e-12,0\n",
+                                  "s,u\n-1e308,0\n1e308,1\n"],
+                         ids=["decreasing", "tiny-nonuniform", "length-overflow"])
 def test_profile_csv_off_its_grid_exits_two_with_one_line(tmp_path, capsys, euclid_json, text):
     path = tmp_path / "u.csv"
     path.write_text(text)
@@ -819,3 +825,32 @@ def test_profile_csv_off_its_grid_exits_two_with_one_line(tmp_path, capsys, eucl
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (out / "cahn_hoffman.json").exists()
+
+
+SQUARE = {"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
+
+
+def test_square_solve_of_a_huge_step_reports_a_finite_dual_field(tmp_path, capsys):
+    # the smoothed dual field is a log-sum-exp about the envelope line on top,
+    # so r / (eps h), about 1e311 on the jump, never becomes inf - inf
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(
+        anisotropy=SQUARE, p=2.0, g={"kind": "step", "a": 1e300}, grid={"n": 8}))
+    out = tmp_path / "out"
+    assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "solve_report.json").read_text())
+    assert 0.0 <= report["dual_feasibility_max_violation"] <= 1e-12
+
+
+@pytest.mark.parametrize("anisotropy", [{"kind": "euclidean"}, {"kind": "lp", "q": 3.0}, SQUARE],
+                         ids=["euclidean", "lp3", "square"])
+def test_solve_whose_energy_overflows_exits_three(tmp_path, capsys, anisotropy):
+    # every step of u is finite, but a jump of 2e308 costs an infinite energy
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(
+        anisotropy=anisotropy, p=2.0, g={"kind": "step", "a": 1e308}, grid={"n": 8}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", prob, "--out-dir", str(out), "--quiet"]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver diverged at iteration ") and err.count("\n") == 1
+    assert not out.exists()

@@ -38,6 +38,18 @@ def test_grid_rejects_non_finite_bounds_and_non_integer_cells():
     assert Grid(0.0, 1.0, np.int64(4)).n_cells == 4
 
 
+def test_grid_rejects_a_cell_width_that_leaves_the_floats():
+    # the length 2e308 overflows to inf; 5e-324 / 2 rounds to a width of 0
+    for bounds, n in (((-1e308, 1e308), 4), ((0.0, 5e-324), 2)):
+        with pytest.raises(ValueError, match="cell width"):
+            Grid(*bounds, n)
+
+
+def test_datum_rejects_a_non_finite_height():
+    with pytest.raises(ValueError):
+        GSpec.step(math.nan)
+
+
 def test_profile_validation():
     grid = Grid(0.0, 1.0, 2)
     with pytest.raises(ValueError):

@@ -18,8 +18,7 @@ from anisocurve import (
     solve,
 )
 from anisocurve.energy import energy_totals
-from anisocurve.solver import (_lattice_minimum, _solve_chain, _solve_newton, _solve_path_laplacian,
-                               _solve_tridiagonal)
+from anisocurve.solver import _lattice_minimum, _solve_chain, _solve_newton, _solve_path_laplacian
 from anisocurve import reference as ref
 from pdhg_reference import _prox_fidelity_many, _solve_pdhg, prox_fidelity
 
@@ -308,15 +307,16 @@ def test_solve_agrees_with_oracle_small_instances():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 128, 129, 130, 257, 1000, 1025])
 def test_tridiagonal_solver_matches_dense_solve(n):
+    # the path Laplacian form of the Newton system: couplings and excess >= 0
     rng = np.random.default_rng(n)
     for _ in range(5):
-        off = rng.uniform(-1.0, 1.0, n - 1) * 10.0 ** rng.uniform(-3, 3, n - 1)
-        diag = (np.r_[np.abs(off), 0.0] + np.r_[0.0, np.abs(off)]) * rng.uniform(1.0, 3.0, n)
-        diag += 10.0 ** rng.uniform(-3, 3, n)
+        edge = rng.uniform(0.0, 1.0, n - 1) * 10.0 ** rng.uniform(-3, 3, n - 1)
+        couplings = np.r_[edge, 0.0] + np.r_[0.0, edge]
+        excess = couplings * rng.uniform(0.0, 2.0, n) + 10.0 ** rng.uniform(-3, 3, n)
         rhs = rng.normal(size=n)
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        dense = np.diag(couplings + excess) - np.diag(edge, 1) - np.diag(edge, -1)
         exact = np.linalg.solve(dense, rhs)
-        x = _solve_tridiagonal(diag, off, rhs)
+        x = _solve_path_laplacian(edge, excess, rhs)
         assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
@@ -325,7 +325,7 @@ def test_tridiagonal_solver_on_a_singular_system_is_not_finite(n):
     # the Newton system where every curvature underflows to 0; the Thomas
     # sweep (n <= 128) and cyclic reduction both meet a zero pivot
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = _solve_tridiagonal(np.zeros(n), np.zeros(n - 1), np.ones(n))
+        x = _solve_path_laplacian(np.zeros(n - 1), np.zeros(n), np.ones(n))
     assert x.shape == (n,) and not np.isfinite(x).all()
 
 
