@@ -365,14 +365,25 @@ class Anisotropy:
         Each is an upper bound of phi° that is exact as eps -> 0, and the
         gradient (d/dr, d/dh) lies in the Wulff shape.  ``smooth_dual`` is
         true where phi° needs no smoothing: the quadratic forms and lp(q)
-        with q < 2, whose |r|^q' has q' > 2.
+        with q < 2, whose |r|^q' has q' > 2.  :meth:`smoothed_dual_value`
+        computes the value alone, by the same expressions, for a line search.
         """
+        value, derivatives = self._smoothed_dual_terms(r, h, eps)
+        return (value, *derivatives)
+
+    def smoothed_dual_value(self, r: np.ndarray, h: float, eps: float) -> np.ndarray:
+        """The first output of :meth:`smoothed_dual` alone, bitwise the same."""
+        return next(self._smoothed_dual_terms(r, h, eps))
+
+    def _smoothed_dual_terms(self, r, h: float, eps: float):
+        """Yield phi°_eps(r, h), then its derivatives: reading the value skips their work."""
         r = np.asarray(r, dtype=float)
         if self._axes:
             a2, b2 = self._axes[0] ** 2, self._axes[1] ** 2
             s = np.sqrt(a2 * r * r + b2 * h * h)
-            return s, a2 * r / s, a2 * b2 * h * h / s**3, b2 * h / s
-        if self.kind == "lp":
+            yield s
+            yield a2 * r / s, a2 * b2 * h * h / s**3, b2 * h / s
+        elif self.kind == "lp":
             q = self._params["q"]
             qd = q / (q - 1.0)
             # the lp(q') norm of (a, h), a = sqrt(r^2 + delta^2), in units of max(a, h)
@@ -382,20 +393,23 @@ class Anisotropy:
             pa, ph = ra ** (qd - 1.0), rh ** (qd - 1.0)
             s = pa * ra + ph * rh  # (a^q' + h^q') / m^q', in [1, 2]
             root = s ** (1.0 / qd)
+            yield m * root
             ga, gh = pa * root / s, ph * root / s  # the gradient (a, h)^(q'-1) / f^(q'-1)
             f2 = ga / a * ((qd - 1.0) * gh * rh / root * (r / a) ** 2 + (eps * h / a) ** 2)
-            return m * root, ga * r / a, f2, gh
-        slopes, heights, _ = self.dual_envelope
-        temp = eps * h
-        top = _support(self.dual_envelope, r, h)  # phi°, the value of the line on top
-        with np.errstate(over="ignore"):  # a line far below weighs exp(-inf) = 0
-            below = np.multiply.outer(r, slopes) + h * heights - top[..., None]
-            weights = np.exp(np.minimum(below / temp, 0.0))
-        total = weights.sum(axis=-1)
-        weights /= total[..., None]
-        f1 = weights @ slopes
-        f2 = (weights * (slopes - f1[..., None]) ** 2).sum(axis=-1) / temp
-        return top + temp * np.log(total), f1, f2, weights @ heights
+            yield ga * r / a, f2, gh
+        else:
+            slopes, heights, _ = self.dual_envelope
+            temp = eps * h
+            top = _support(self.dual_envelope, r, h)  # phi°, the value of the line on top
+            with np.errstate(over="ignore"):  # a line far below weighs exp(-inf) = 0
+                below = np.multiply.outer(r, slopes) + h * heights - top[..., None]
+                weights = np.exp(np.minimum(below / temp, 0.0))
+            total = weights.sum(axis=-1)
+            yield top + temp * np.log(total)
+            weights /= total[..., None]
+            f1 = weights @ slopes
+            f2 = (weights * (slopes - f1[..., None]) ** 2).sum(axis=-1) / temp
+            yield f1, f2, weights @ heights
 
     def boundary_point(self, d) -> np.ndarray:
         """The point d / phi(d) on the Wulff boundary."""

@@ -193,9 +193,10 @@ def _solve_newton(
     Each step solves the tridiagonal Newton system H d = -grad of the
     smoothed energy by :func:`_solve_path_laplacian`, as H is the edges'
     curvatures on a path plus the nodes', and predicts the decrease
-    -grad . d, the squared Newton decrement.  eps starts at the floor when
-    nothing is smoothed (p >= 2 and a smooth dual gauge).  ``iterations``
-    counts Newton systems solved.
+    -grad . d, the squared Newton decrement.  The line search evaluates the
+    value alone (:meth:`Anisotropy.smoothed_dual_value`).  eps starts at the
+    floor when nothing is smoothed (p >= 2 and a smooth dual gauge).
+    ``iterations`` counts Newton systems solved.
     """
     h = grid.h
     w = trapezoid_weights(grid)
@@ -204,23 +205,23 @@ def _solve_newton(
     # the fidelity's smoothing width eps * scale.
     scale = float(np.ptp(g)) + grid.length
 
-    def smoothed(u: np.ndarray, eps: float):
-        area, da, dda, _ = aniso.smoothed_dual(u[:-1] - u[1:], h, eps)
-        fid, dfid, ddfid = _fidelity_terms(u - g, p, eps * scale)
-        return float(area.sum() + (w * fid).sum()), da, dda, w * dfid, w * ddfid
+    def objective(u: np.ndarray, eps: float) -> float:
+        area = aniso.smoothed_dual_value(u[:-1] - u[1:], h, eps)
+        return float(area.sum() + (w * next(_fidelity_terms(u - g, p, eps * scale))).sum())
 
     def step(u: np.ndarray, eps: float):
-        value, da, dda, grad, excess = smoothed(u, eps)
+        area, da, dda, _ = aniso.smoothed_dual(u[:-1] - u[1:], h, eps)
+        fid, (dfid, ddfid) = _fidelity_terms(u - g, p, eps * scale)
+        grad, excess = w * dfid, w * ddfid
         grad[:-1] += da
         grad[1:] -= da
         excess += _RIDGE * (math.sqrt(excess.max()) * math.sqrt(dda.max()) or dda.max())
         d = _solve_path_laplacian(dda, excess, -grad)
-        return value, d, -float(grad @ d)
+        return float(area.sum() + (w * fid).sum()), d, -float(grad @ d)
 
     eps = _EPS_FLOOR if p >= 2.0 and aniso.smooth_dual else _EPS_START
     return _polished_report(aniso, grid, g, p, *_descend(
-        g.copy(), eps, _EPS_FACTOR, scale, step, lambda u, eps: smoothed(u, eps)[0], cfg),
-        "newton")
+        g.copy(), eps, _EPS_FACTOR, scale, step, objective, cfg), "newton")
 
 
 def _solve_chain(
@@ -242,7 +243,9 @@ def _solve_chain(
     sum_j W_j (x_j - c_j)^2 + const with W_j = w_j f''_j / 2 and
     c_j = u_j - f'_j / f''_j, and one sweep minimizes that model plus psi.
     The step d = u_hat - u predicts the decrease
-    -(grad F . d + psi(u + d) - psi(u)).  ``iterations`` counts sweeps.
+    -(grad F . d + psi(u + d) - psi(u)).  The line search evaluates the
+    value alone, psi plus the first output of :func:`_smoothed_power`.
+    ``iterations`` counts sweeps.
     """
     # psi(r) = phi°(r, h) = max_k s_k r + c_k h over the gauge's envelope: psi(-t) has
     # slopes -s_m < ... < -s_1 and kinks at -h times the hand-over points
@@ -263,20 +266,17 @@ def _solve_chain(
         t = np.diff(u)  # psi(-t) for t = u_{i+1} - u_i
         return float(aniso.eval_dual_many(np.column_stack([-t, np.full_like(t, grid.h)])).sum())
 
-    def fidelity(u: np.ndarray, eps: float):
-        fid, dfid, ddfid = _smoothed_power(u - g, p, eps * scale)
-        return float(w @ fid), w * dfid, w * ddfid
-
     def step(u: np.ndarray, eps: float):
-        fid, grad, curv = fidelity(u, eps)
-        area = edges(u)
-        weights = 0.5 * curv + ridge
+        fid, (dfid, ddfid) = _smoothed_power(u - g, p, eps * scale)
+        grad, area = w * dfid, edges(u)
+        weights = 0.5 * (w * ddfid) + ridge
         d = _chain_sweep(levels, kinks, u - 0.5 * grad / weights, weights, True) - u
-        return area + fid, d, area - edges(u + d) - float(grad @ d)
+        return area + float(w @ fid), d, area - edges(u + d) - float(grad @ d)
 
     return _polished_report(aniso, grid, g, p, *_descend(
         g.copy(), _EPS_START, _CHAIN_EPS_FACTOR, scale, step,
-        lambda u, eps: edges(u) + fidelity(u, eps)[0], cfg), "chain")
+        lambda u, eps: edges(u) + float(w @ next(_smoothed_power(u - g, p, eps * scale))), cfg),
+        "chain")
 
 
 def _descend(u, eps, factor, scale, step, objective, cfg):
@@ -284,9 +284,10 @@ def _descend(u, eps, factor, scale, step, objective, cfg):
 
     ``step(u, eps)`` returns the smoothed energy E at u, a direction d and
     the decrease ``gain`` that the method's model predicts for u + d;
-    ``objective(u, eps)`` is E.  The line search halves t from
-    min(1, scale / max|d|) until E(u + t d) <= E(u) - 1/4 t gain < E(u)
-    (Armijo), and gives up once the decrease it asks for is below the
+    ``objective(u, eps)`` is E alone, bitwise ``step``'s value without its
+    derivatives, the only evaluation a trial costs.  The line search halves
+    t from min(1, scale / max|d|) until E(u + t d) <= E(u) - 1/4 t gain <
+    E(u) (Armijo), and gives up once the decrease it asks for is below the
     rounding of E.  The relative decrement gain / (2 |E|) estimates the
     relative distance to the smoothed minimum.  A smoothing stage ends
     after a step whose decrement is at most 1e-2 eps or whose line search
@@ -451,6 +452,8 @@ def _polished_report(
     # the exact energy beyond rounding, as truncation can cost energy under a
     # gauge that is not mirror-symmetric.
     def polished(profile, report, values):
+        if values.tobytes() == profile.values.tobytes():  # nothing to score
+            return profile, report
         candidate = Profile(grid, values)
         candidate_energy = energy(aniso, candidate, g, p)
         if candidate_energy.total <= report.total * (1.0 + _ROUNDING):
@@ -482,22 +485,25 @@ def _polished_report(
 
 
 def _fidelity_terms(t: np.ndarray, p: float, eps: float):
-    """|t|^p and its first two derivatives; (t^2 + eps^2)^(p/2) for p < 2."""
+    """Yield |t|^p, then its first two derivatives; (t^2 + eps^2)^(p/2) for p < 2."""
     if p < 2.0:
-        return _smoothed_power(t, p, eps)
-    a = np.abs(t)
-    ap = a ** (p - 2.0)
-    return a * a * ap, p * t * ap, p * (p - 1.0) * ap
+        yield from _smoothed_power(t, p, eps)
+    else:
+        a = np.abs(t)
+        ap = a ** (p - 2.0)
+        yield a * a * ap
+        yield p * t * ap, p * (p - 1.0) * ap
 
 
 def _smoothed_power(t: np.ndarray, p: float, eps: float):
-    """(t^2 + eps^2)^(p/2), an upper bound of |t|^p, and its first two derivatives.
+    """Yield (t^2 + eps^2)^(p/2), an upper bound of |t|^p, then its first two derivatives.
 
     The second derivative is positive for every p >= 1, also at t = 0.
     """
     s = t * t + eps * eps
     sp = s ** (0.5 * p - 2.0)
-    return s * s * sp, p * t * s * sp, p * ((p - 1.0) * t * t + eps * eps) * sp
+    yield s * s * sp
+    yield p * t * s * sp, p * ((p - 1.0) * t * t + eps * eps) * sp
 
 
 def _solve_path_laplacian(edge: np.ndarray, excess: np.ndarray, rhs: np.ndarray) -> np.ndarray:

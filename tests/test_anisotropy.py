@@ -628,6 +628,28 @@ def test_polygon_smoothed_dual_holds_at_ties_and_at_every_scale(aniso):
                 assert np.max(aniso.eval_many(np.column_stack([f1, fh]))) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("aniso", [
+    Anisotropy.euclidean(),
+    Anisotropy.ellipse(2.0, 0.5),
+    Anisotropy.lp(1.005),
+    Anisotropy.lp(1.5),
+    Anisotropy.lp(3.0),
+    Anisotropy.polygon([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+    Anisotropy.polygon([[math.cos(t), math.sin(t)] for t in 0.2 + math.pi / 3 * np.arange(6)]),
+], ids=["euclidean", "ellipse", "lp1.005", "lp1.5", "lp3", "square", "hexagon"])
+def test_smoothed_dual_value_is_the_first_output_bitwise(aniso):
+    # the value a line search reads alone is the full evaluation's, to the bit
+    h = 0.01
+    r = np.array([0.0, 1e-300, -1e-300, h, -h, 1e150, -1e150])
+    r = np.concatenate([r, h * np.random.default_rng(3).standard_normal(64)])
+    for eps in (1e-2, 1e-10):
+        value = aniso.smoothed_dual_value(r, h, eps)
+        assert np.isfinite(value).all()
+        with np.errstate(over="ignore"):  # the quadratic form's s^3 in d^2/dr^2 at 1e150
+            full = aniso.smoothed_dual(r, h, eps)
+        assert value.tobytes() == full[0].tobytes()
+
+
 # -- one representation per gauge ---------------------------------------
 
 

@@ -20,6 +20,7 @@ from anisocurve import (
 from anisocurve.energy import energy_totals
 from anisocurve.solver import _lattice_minimum, _solve_chain, _solve_newton, _solve_path_laplacian
 from anisocurve import reference as ref
+from anisocurve import solver
 from pdhg_reference import _prox_fidelity_many, _solve_pdhg, prox_fidelity
 
 EUCLID = Anisotropy.euclidean()
@@ -615,3 +616,94 @@ def test_chain_maximum_principle_under_the_hexagon():
         truncated = energy(HEXAGON, Profile(grid, np.clip(u, g.min(), g.max())), g, p).total
         assert truncated > rep.energy.total + 1e-6
     assert inside >= len(cases) // 2
+
+
+# -- value-only line search and polish ----------------------------------
+
+
+@pytest.mark.parametrize("p", [1.0, 1.05, 1.5, 2.0, 2.5, 3.0, 8.0])
+def test_fidelity_value_alone_is_the_first_output_bitwise(p):
+    eps = 1e-3
+    t = np.array([0.0, eps, -eps, 0.5, -2.0, 1e100, -1e100])
+    with np.errstate(over="ignore"):  # the powers overflow at 1e100, alone or in full
+        for terms in (solver._fidelity_terms, solver._smoothed_power):
+            value = next(terms(t, p, eps))
+            full, (first, second) = terms(t, p, eps)
+            assert value.tobytes() == full.tobytes()
+            assert first.shape == second.shape == t.shape
+
+
+def _full_evaluation(terms, calls):
+    """``terms`` with every output computed before the value is read."""
+    def full(*args):
+        calls.append(terms.__name__)
+        value, derivatives = terms(*args)
+        yield value
+        yield derivatives
+    return full
+
+
+def _line_search_cases():
+    rng = np.random.default_rng(61)
+    grid = Grid(-1, 1, 48)
+    noisy = np.sin(3 * grid.nodes()) + 0.3 * rng.standard_normal(49)
+    return [(grid, GSpec.step(0.3).sample(grid)), (grid, _fuzz(rng, 48)), (grid, noisy)]
+
+
+@pytest.mark.parametrize("method,gauges,ps", [
+    ("newton", ["euclidean", "ellipse", "lp1.5", "lp3"], [1.0, 1.05, 1.5, 2.0, 3.0]),
+    ("chain", ["square", "hexagon"], [1.05, 1.5, 3.0]),
+], ids=["newton", "chain"])
+def test_value_only_line_search_takes_the_full_evaluations_steps(monkeypatch, method, gauges, ps):
+    # the line search reads energy values alone; computed with every derivative
+    # beside them, as before, they give bitwise the same reports
+    def reports():
+        return [solve(GAUGES[gauge], grid, g, p)
+                for gauge in gauges for p in ps for grid, g in _line_search_cases()]
+
+    fast = reports()
+    assert {rep.method for rep in fast} == {method}
+    calls = []
+
+    def dual_value(aniso, r, h, eps):
+        calls.append("smoothed_dual_value")
+        return aniso.smoothed_dual(r, h, eps)[0]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Anisotropy, "smoothed_dual_value", dual_value)
+        for name in ("_fidelity_terms", "_smoothed_power"):
+            patch.setattr(solver, name, _full_evaluation(getattr(solver, name), calls))
+        full_terms = reports()
+    assert ("smoothed_dual_value" in calls) == (method == "newton") and "_smoothed_power" in calls
+    # and a line search that takes each trial's energy from the step itself,
+    # which the value alone must equal to the bit
+    descend, trials = solver._descend, []
+
+    def descend_on_full_values(u, eps, factor, scale, step, objective, cfg):
+        def value(v, e):
+            trials.append(step(v, e)[0])
+            assert objective(v, e) == trials[-1]
+            return trials[-1]
+        return descend(u, eps, factor, scale, step, value, cfg)
+
+    monkeypatch.setattr(solver, "_descend", descend_on_full_values)
+    full_steps = reports()
+    assert len(trials) >= len(fast)
+    for full in (full_terms, full_steps):
+        for a, b in zip(fast, full):
+            assert a.profile.values.tobytes() == b.profile.values.tobytes()
+            assert dataclasses.replace(a, profile=None) == dataclasses.replace(b, profile=None)
+
+
+def test_polish_scores_only_candidates_that_move_a_node(monkeypatch):
+    # the solve lies inside the datum's range, so truncation moves nothing and
+    # only the profile and the snapped profile are scored
+    grid = Grid(-1, 1, 128)
+    g = GSpec.step(0.5).sample(grid)
+    calls = []
+    monkeypatch.setattr(solver, "energy", lambda *args: calls.append(args) or energy(*args))
+    rep = solve(EUCLID, grid, g, 1.0)
+    u = rep.profile.values
+    assert g.min() <= u.min() and u.max() <= g.max()
+    assert len(calls) == 2
+    assert rep.energy == energy(EUCLID, rep.profile, g, 1.0)
