@@ -344,10 +344,8 @@ class Anisotropy:
     def eval_dual(self, v) -> float:
         return float(self.eval_dual_many(_as_vec(v)[None, :])[0])
 
-    def smoothed_dual(
-        self, r: np.ndarray, h: float, eps: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """phi°_eps(r, h) and its derivatives d/dr, d^2/dr^2 and d/dh, elementwise in r.
+    def smoothed_dual(self, r, h: float, eps: float):
+        """Yield phi°_eps(r, h), then its derivatives (d/dr, d^2/dr^2, d/dh), elementwise in r.
 
         ``h > 0`` is a scalar and ``eps`` a smoothing width relative to h, so
         phi°_eps stays one-homogeneous in (r, h).  Three formulas:
@@ -365,24 +363,15 @@ class Anisotropy:
         Each is an upper bound of phi° that is exact as eps -> 0, and the
         gradient (d/dr, d/dh) lies in the Wulff shape.  ``smooth_dual`` is
         true where phi° needs no smoothing: the quadratic forms and lp(q)
-        with q < 2, whose |r|^q' has q' > 2.  :meth:`smoothed_dual_value`
-        computes the value alone, by the same expressions, for a line search.
+        with q < 2, whose |r|^q' has q' > 2.  ``next(aniso.smoothed_dual(...))``
+        reads the value alone and does none of the derivatives' work.
         """
-        value, derivatives = self._smoothed_dual_terms(r, h, eps)
-        return (value, *derivatives)
-
-    def smoothed_dual_value(self, r: np.ndarray, h: float, eps: float) -> np.ndarray:
-        """The first output of :meth:`smoothed_dual` alone, bitwise the same."""
-        return next(self._smoothed_dual_terms(r, h, eps))
-
-    def _smoothed_dual_terms(self, r, h: float, eps: float):
-        """Yield phi°_eps(r, h), then its derivatives: reading the value skips their work."""
         r = np.asarray(r, dtype=float)
         if self._axes:
             a2, b2 = self._axes[0] ** 2, self._axes[1] ** 2
             s = np.sqrt(a2 * r * r + b2 * h * h)
             yield s
-            yield a2 * r / s, a2 * b2 * h * h / s**3, b2 * h / s
+            yield a2 * r / s, a2 * (b2 * h / s) * (h / s) / s, b2 * h / s
         elif self.kind == "lp":
             q = self._params["q"]
             qd = q / (q - 1.0)

@@ -30,8 +30,10 @@ term per node.  :func:`solve` picks the method from the input:
 
 Both iterative methods run one loop, :func:`_descend`: a step from the
 method's model, an Armijo backtrack along it, and a continuation in the
-smoothing width.  Both need second derivatives, so the nonsmooth pieces
-are smoothed with a relative width eps: |t|^p of the fidelity becomes
+smoothing width.  Each step, like each smoothed term, yields its value
+before its derivatives, so a line-search trial reads the first yield
+alone.  Both methods need second derivatives, so the nonsmooth pieces are
+smoothed with a relative width eps: |t|^p of the fidelity becomes
 (t^2 + (eps S)^2)^(p/2), with S the datum's range plus the interval
 length, for p < 2 (Newton) or every p other than 1 and 2 (the chain),
 and Newton's gauge term uses :meth:`Anisotropy.smoothed_dual` at width
@@ -171,8 +173,8 @@ def solve(
     gauge that is not mirror-symmetric.  The reported energy is the exact
     one, from :func:`anisocurve.energy.energy`.
     ``dual_feasibility_max_violation`` is measured on the smoothed dual
-    field grad_w phi°_eps(-du, h) at the final smoothing width (the floor
-    for the exact sweep), which lies in the Wulff shape up to rounding.
+    field grad_w phi°_eps(-du, h) at the floor width, where converged solves
+    end; the field lies in the Wulff shape up to rounding.
     """
     check_fidelity_exponent(p)
     g = np.asarray(g, dtype=float)
@@ -190,12 +192,12 @@ def _solve_newton(
 ) -> SolveReport:
     """Damped Newton steps from u = g on the smoothed energy, run by :func:`_descend`.
 
-    Each step solves the tridiagonal Newton system H d = -grad of the
-    smoothed energy by :func:`_solve_path_laplacian`, as H is the edges'
-    curvatures on a path plus the nodes', and predicts the decrease
-    -grad . d, the squared Newton decrement.  The line search evaluates the
-    value alone (:meth:`Anisotropy.smoothed_dual_value`).  eps starts at the
-    floor when nothing is smoothed (p >= 2 and a smooth dual gauge).
+    Each step yields the smoothed energy, which is all a line-search trial
+    reads, then solves the tridiagonal Newton system H d = -grad by
+    :func:`_solve_path_laplacian`, as H is the edges' curvatures on a path
+    plus the nodes', and yields d and the decrease -grad . d, the squared
+    Newton decrement.  eps starts at the floor when nothing is smoothed
+    (p >= 2 and a smooth dual gauge).
     ``iterations`` counts Newton systems solved.
     """
     h = grid.h
@@ -205,23 +207,21 @@ def _solve_newton(
     # the fidelity's smoothing width eps * scale.
     scale = float(np.ptp(g)) + grid.length
 
-    def objective(u: np.ndarray, eps: float) -> float:
-        area = aniso.smoothed_dual_value(u[:-1] - u[1:], h, eps)
-        return float(area.sum() + (w * next(_fidelity_terms(u - g, p, eps * scale))).sum())
-
     def step(u: np.ndarray, eps: float):
-        area, da, dda, _ = aniso.smoothed_dual(u[:-1] - u[1:], h, eps)
-        fid, (dfid, ddfid) = _fidelity_terms(u - g, p, eps * scale)
+        area = aniso.smoothed_dual(u[:-1] - u[1:], h, eps)
+        fid = _fidelity_terms(u - g, p, eps * scale)
+        yield float(next(area).sum() + (w * next(fid)).sum())
+        (da, dda, _), (dfid, ddfid) = next(area), next(fid)
         grad, excess = w * dfid, w * ddfid
         grad[:-1] += da
         grad[1:] -= da
         excess += _RIDGE * (math.sqrt(excess.max()) * math.sqrt(dda.max()) or dda.max())
         d = _solve_path_laplacian(dda, excess, -grad)
-        return float(area.sum() + (w * fid).sum()), d, -float(grad @ d)
+        yield d, -float(grad @ d)
 
     eps = _EPS_FLOOR if p >= 2.0 and aniso.smooth_dual else _EPS_START
     return _polished_report(aniso, grid, g, p, *_descend(
-        g.copy(), eps, _EPS_FACTOR, scale, step, objective, cfg), "newton")
+        g.copy(), eps, _EPS_FACTOR, scale, step, cfg), "newton")
 
 
 def _solve_chain(
@@ -243,8 +243,8 @@ def _solve_chain(
     sum_j W_j (x_j - c_j)^2 + const with W_j = w_j f''_j / 2 and
     c_j = u_j - f'_j / f''_j, and one sweep minimizes that model plus psi.
     The step d = u_hat - u predicts the decrease
-    -(grad F . d + psi(u + d) - psi(u)).  The line search evaluates the
-    value alone, psi plus the first output of :func:`_smoothed_power`.
+    -(grad F . d + psi(u + d) - psi(u)).  The line search reads the energy
+    alone, psi plus the first yield of :func:`_smoothed_power`.
     ``iterations`` counts sweeps.
     """
     # psi(r) = phi°(r, h) = max_k s_k r + c_k h over the gauge's envelope: psi(-t) has
@@ -256,7 +256,7 @@ def _solve_chain(
         u = _chain_sweep(levels, kinks, g, w, p == 2.0)
         if not np.isfinite(u).all():
             raise SolverDivergenceError(1)
-        return _polished_report(aniso, grid, g, p, u, 1, True, 0.0, _EPS_FLOOR, "chain")
+        return _polished_report(aniso, grid, g, p, u, 1, True, 0.0, "chain")
     scale = float(np.ptp(g)) + grid.length
     # a model curvature floor, relative to the edge terms' slope per unit of u;
     # it keeps the sweep finite where f'' vanishes to rounding (large p)
@@ -267,40 +267,38 @@ def _solve_chain(
         return float(aniso.eval_dual_many(np.column_stack([-t, np.full_like(t, grid.h)])).sum())
 
     def step(u: np.ndarray, eps: float):
-        fid, (dfid, ddfid) = _smoothed_power(u - g, p, eps * scale)
-        grad, area = w * dfid, edges(u)
-        weights = 0.5 * (w * ddfid) + ridge
+        fid, area = _smoothed_power(u - g, p, eps * scale), edges(u)
+        yield area + float(w @ next(fid))
+        dfid, ddfid = next(fid)
+        grad, weights = w * dfid, 0.5 * (w * ddfid) + ridge
         d = _chain_sweep(levels, kinks, u - 0.5 * grad / weights, weights, True) - u
-        return area + float(w @ fid), d, area - edges(u + d) - float(grad @ d)
+        yield d, area - edges(u + d) - float(grad @ d)
 
     return _polished_report(aniso, grid, g, p, *_descend(
-        g.copy(), _EPS_START, _CHAIN_EPS_FACTOR, scale, step,
-        lambda u, eps: edges(u) + float(w @ next(_smoothed_power(u - g, p, eps * scale))), cfg),
-        "chain")
+        g.copy(), _EPS_START, _CHAIN_EPS_FACTOR, scale, step, cfg), "chain")
 
 
-def _descend(u, eps, factor, scale, step, objective, cfg):
+def _descend(u, eps, factor, scale, step, cfg):
     """Damped descent from u on an energy smoothed at width eps, with continuation.
 
-    ``step(u, eps)`` returns the smoothed energy E at u, a direction d and
-    the decrease ``gain`` that the method's model predicts for u + d;
-    ``objective(u, eps)`` is E alone, bitwise ``step``'s value without its
-    derivatives, the only evaluation a trial costs.  The line search halves
-    t from min(1, scale / max|d|) until E(u + t d) <= E(u) - 1/4 t gain <
-    E(u) (Armijo), and gives up once the decrease it asks for is below the
-    rounding of E.  The relative decrement gain / (2 |E|) estimates the
-    relative distance to the smoothed minimum.  A smoothing stage ends
-    after a step whose decrement is at most 1e-2 eps or whose line search
-    gave up: eps is multiplied by ``factor``, down to the floor.  There
-    the solve converges once the decrement is at most ``cfg.tol_rel``
-    (that step is still taken) and stops when the line search gives up;
-    ``cfg.max_iters`` caps the steps.  A non-finite d raises
-    :class:`SolverDivergenceError`.  Returns u, the number of steps,
-    whether they converged, the last relative decrement and the last eps.
+    ``step(u, eps)`` yields the smoothed energy E at u, then a direction d
+    and the decrease ``gain`` that the method's model predicts for u + d.
+    A trial reads E alone, ``next(step(u + t d, eps))``, so it costs no
+    derivatives.  The line search halves t from min(1, scale / max|d|)
+    until E(u + t d) <= E(u) - 1/4 t gain < E(u) (Armijo), and gives up
+    once the decrease it asks for is below the rounding of E.  The relative
+    decrement gain / (2 |E|) estimates the relative distance to the
+    smoothed minimum.  A smoothing stage ends after a step whose decrement
+    is at most 1e-2 eps or whose line search gave up: eps is multiplied by
+    ``factor``, down to the floor.  There the solve converges once the
+    decrement is at most ``cfg.tol_rel`` (that step is still taken) and
+    stops when the line search gives up; ``cfg.max_iters`` caps the steps.
+    A non-finite d raises :class:`SolverDivergenceError`.  Returns u, the
+    steps taken, whether they converged and the last relative decrement.
     """
     decrement = math.inf
     for iterations in range(1, cfg.max_iters + 1):
-        value, d, gain = step(u, eps)
+        value, (d, gain) = step(u, eps)
         if not np.isfinite(d).all():
             raise SolverDivergenceError(iterations)
         gain = max(0.0, gain)
@@ -309,19 +307,19 @@ def _descend(u, eps, factor, scale, step, objective, cfg):
         moved = False
         while not moved and value - _ARMIJO * t * gain < value:
             trial = u + t * d
-            new = objective(trial, eps)
+            new = next(step(trial, eps))
             moved = new < value and new <= value - _ARMIJO * t * gain
             t *= 0.5
         if moved:
             u = trial
         at_floor = eps <= _EPS_FLOOR
         if at_floor and decrement <= cfg.tol_rel:
-            return u, iterations, True, decrement, eps
+            return u, iterations, True, decrement
         if not at_floor and (not moved or decrement <= max(cfg.tol_rel, _STAGE_TOL * eps)):
             eps = max(eps * factor, _EPS_FLOOR)
         elif not moved:  # no representable decrease left at the floor
             break
-    return u, iterations, False, decrement, eps
+    return u, iterations, False, decrement
 
 
 def _chain_sweep(
@@ -444,7 +442,7 @@ def _level_crossings(
 
 
 def _polished_report(
-    aniso, grid, g, p, u, iterations, converged, stagnation, eps, method
+    aniso, grid, g, p, u, iterations, converged, stagnation, method
 ) -> SolveReport:
     """The report of :func:`solve` for the iterate u, after the polish it describes."""
     # Put back on the datum the nodes within _SNAP of it, then truncate to the
@@ -469,10 +467,8 @@ def _polished_report(
         profile, report_energy, np.where(np.abs(u - g) <= _SNAP * scale, g, u))
     profile, report_energy = polished(
         profile, report_energy, np.clip(profile.values, g.min(), g.max()))
-    values = profile.values
-    _, n1, _, n2 = aniso.smoothed_dual(values[:-1] - values[1:], grid.h, eps)
-    field = np.column_stack([n1, n2])
-    violation = float(np.max(aniso.eval_many(field)) - 1.0)
+    _, (n1, _, n2) = aniso.smoothed_dual(-np.diff(profile.values), grid.h, _EPS_FLOOR)
+    violation = float(np.max(aniso.eval_many(np.column_stack([n1, n2]))) - 1.0)
     return SolveReport(
         profile=profile,
         energy=report_energy,
@@ -498,12 +494,14 @@ def _fidelity_terms(t: np.ndarray, p: float, eps: float):
 def _smoothed_power(t: np.ndarray, p: float, eps: float):
     """Yield (t^2 + eps^2)^(p/2), an upper bound of |t|^p, then its first two derivatives.
 
-    The second derivative is positive for every p >= 1, also at t = 0.
+    The second derivative is positive for every p >= 1, also at t = 0.  All
+    three are finite wherever t^2 is.
     """
     s = t * t + eps * eps
-    sp = s ** (0.5 * p - 2.0)
-    yield s * s * sp
-    yield p * t * s * sp, p * ((p - 1.0) * t * t + eps * eps) * sp
+    value = s ** (0.5 * p)
+    yield value
+    sp = value / s  # s^(p/2 - 1)
+    yield p * t * sp, p * ((p - 1.0) * t * t + eps * eps) * (sp / s)
 
 
 def _solve_path_laplacian(edge: np.ndarray, excess: np.ndarray, rhs: np.ndarray) -> np.ndarray:

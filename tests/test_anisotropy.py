@@ -582,7 +582,7 @@ def test_smoothed_dual_bounds_derivatives_and_dual_field(aniso, vertices):
     r = np.concatenate([np.linspace(-0.1, 0.1, 41), [0.0, 1e-7, -3e-3, 2.5]])
     exact = aniso.eval_dual_many(np.column_stack([r, np.full(len(r), h)]))
     for eps in (1e-2, 1e-5, 1e-13):
-        f, f1, f2, fh = aniso.smoothed_dual(r, h, eps)
+        f, (f1, f2, fh) = aniso.smoothed_dual(r, h, eps)
         # an upper bound of phi°, above it by at most eps h (1 + log K)
         excess = f - exact
         assert np.all(excess >= -1e-15)
@@ -592,13 +592,14 @@ def test_smoothed_dual_bounds_derivatives_and_dual_field(aniso, vertices):
         assert np.max(aniso.eval_many(np.column_stack([f1, fh]))) <= 1.0 + 1e-12
     # derivatives against central differences at a moderate width
     eps, step = 1e-2, 1e-7
-    f, f1, f2, fh = aniso.smoothed_dual(r, h, eps)
-    fp, f1p, _, _ = aniso.smoothed_dual(r + step, h, eps)
-    fm, f1m, _, _ = aniso.smoothed_dual(r - step, h, eps)
+    f, (f1, f2, fh) = aniso.smoothed_dual(r, h, eps)
+    fp, (f1p, _, _) = aniso.smoothed_dual(r + step, h, eps)
+    fm, (f1m, _, _) = aniso.smoothed_dual(r - step, h, eps)
     np.testing.assert_allclose(f1, (fp - fm) / (2 * step), rtol=1e-6, atol=1e-7)
     np.testing.assert_allclose(f2, (f1p - f1m) / (2 * step), rtol=1e-4, atol=1e-3)
     # the width is relative to h, so phi°_eps is one-homogeneous in (r, h)
-    np.testing.assert_allclose(aniso.smoothed_dual(3.0 * r, 3.0 * h, eps)[0], 3.0 * f, rtol=1e-13)
+    np.testing.assert_allclose(next(aniso.smoothed_dual(3.0 * r, 3.0 * h, eps)), 3.0 * f,
+                               rtol=1e-13)
 
 
 @pytest.mark.parametrize("aniso", [
@@ -619,8 +620,10 @@ def test_polygon_smoothed_dual_holds_at_ties_and_at_every_scale(aniso):
             rounding = 2.0 * np.spacing(exact)
             for eps in (1e-2, 1e-10):
                 # in slices, as a 4096-vertex gauge keeps (n, m) arrays
-                parts = [aniso.smoothed_dual(r[k:k + 256], h, eps) for k in range(0, len(r), 256)]
-                f, f1, f2, fh = (np.concatenate(column) for column in zip(*parts))
+                values, derivatives = zip(*(tuple(aniso.smoothed_dual(r[k:k + 256], h, eps))
+                                            for k in range(0, len(r), 256)))
+                f = np.concatenate(values)
+                f1, f2, fh = (np.concatenate(column) for column in zip(*derivatives))
                 assert all(np.isfinite(out).all() for out in (f, f1, f2, fh))
                 excess = f - exact
                 assert np.all(excess >= -rounding)
@@ -643,11 +646,23 @@ def test_smoothed_dual_value_is_the_first_output_bitwise(aniso):
     r = np.array([0.0, 1e-300, -1e-300, h, -h, 1e150, -1e150])
     r = np.concatenate([r, h * np.random.default_rng(3).standard_normal(64)])
     for eps in (1e-2, 1e-10):
-        value = aniso.smoothed_dual_value(r, h, eps)
+        value = next(aniso.smoothed_dual(r, h, eps))
         assert np.isfinite(value).all()
-        with np.errstate(over="ignore"):  # the quadratic form's s^3 in d^2/dr^2 at 1e150
-            full = aniso.smoothed_dual(r, h, eps)
-        assert value.tobytes() == full[0].tobytes()
+        full, _ = aniso.smoothed_dual(r, h, eps)
+        assert value.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("aniso", [Anisotropy.euclidean(), Anisotropy.ellipse(2.0, 0.5)],
+                         ids=["euclidean", "ellipse"])
+def test_quadratic_form_derivatives_stay_finite_at_huge_slopes(aniso):
+    # pyproject.toml turns an overflow's RuntimeWarning into a failure: the
+    # curvature a^2 b^2 h^2 / s^3 is formed from ratios, never from s^3
+    r, h = np.array([1e150, -1e150]), 0.01
+    value, (d1, d2, dh) = aniso.smoothed_dual(r, h, 1e-10)
+    slope = aniso.eval_dual([1.0, 0.0])  # the limit of |d/dr|
+    np.testing.assert_allclose(value, slope * np.abs(r), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(d1, slope * np.sign(r), rtol=1e-15, atol=0.0)
+    assert np.isfinite(d2).all() and np.all(d2 >= 0.0) and np.isfinite(dh).all()
 
 
 # -- one representation per gauge ---------------------------------------
@@ -707,7 +722,8 @@ def test_the_euclidean_gauge_is_the_unit_ellipse_bitwise(aniso):
     assert np.array_equal(aniso.eval_dual_many(v), np.hypot(x, y))
     r, h = np.append(x[:4096], 0.0), 0.01
     s = np.sqrt(r * r + h * h)
-    for got, closed_form in zip(aniso.smoothed_dual(r, h, 1e-3), (s, r / s, h * h / s**3, h / s)):
+    value, (d1, d2, dh) = aniso.smoothed_dual(r, h, 1e-3)
+    for got, closed_form in zip((value, d1, d2, dh), (s, r / s, (h / s) * (h / s) / s, h / s)):
         assert np.array_equal(got, closed_form)
     assert dataclasses.astuple(aniso.symmetry_flags()) == (True, False, True, 1.0)
 
@@ -851,11 +867,11 @@ def test_lp_kernels_match_the_unscaled_power_sums(q):
         t = r * r + (eps * h) ** 2
         big = t ** (0.5 * qd) + h**qd
         f = big ** (1.0 / qd)
-        got = aniso.smoothed_dual(r, h, eps)
-        for value, unscaled in zip((got[0], got[1], got[3]),
-                                   (f, f * r * t ** (0.5 * qd - 1.0) / big,
-                                    f * h ** (qd - 1.0) / big)):
-            np.testing.assert_allclose(value, unscaled, rtol=1e-15, atol=0.0)
+        value, (d1, _, dh) = aniso.smoothed_dual(r, h, eps)
+        for got, unscaled in zip((value, d1, dh),
+                                 (f, f * r * t ** (0.5 * qd - 1.0) / big,
+                                  f * h ** (qd - 1.0) / big)):
+            np.testing.assert_allclose(got, unscaled, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e140])

@@ -348,17 +348,29 @@ def test_overflowing_chain_sweep_exits_three(tmp_path, capsys, anisotropy, p, a)
     ({"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}, 5.0, 1e80),
 ], ids=["euclidean", "square"])
 def test_overflowing_solve_writes_one_stderr_line(tmp_path, anisotropy, p, a):
-    # in a fresh interpreter, under Python's default warning filters and with no
-    # errstate, the overflow's numpy warnings must not reach stderr
-    prob = _write_json(tmp_path / "prob.json", _problem_payload(
+    # the overflow's numpy warnings must not reach stderr
+    done = _solve_in_a_fresh_interpreter(tmp_path, _problem_payload(
         anisotropy=anisotropy, p=p, g={"kind": "step", "a": a}, grid={"n": 16}))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-m", "anisocurve.cli", "solve", prob, "--out-dir",
-         str(tmp_path / "out"), "--quiet"], env=env, capture_output=True, text=True)
     assert done.returncode == EXIT_DIVERGED
     assert done.stderr.splitlines() == ["error: solver diverged at iteration 1"]
+
+
+def test_huge_euclidean_step_solves_with_an_empty_stderr(tmp_path):
+    # the quadratic form's curvature a^2 b^2 h^2 / s^3 is formed without s^3,
+    # which overflows at this height
+    done = _solve_in_a_fresh_interpreter(tmp_path, _problem_payload(
+        p=2.0, g={"kind": "step", "a": 1e110}, grid={"n": 16}))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+
+
+def _solve_in_a_fresh_interpreter(tmp_path, payload):
+    """``anisocurve solve`` in a new Python, under its default warning filters and no errstate."""
+    prob = _write_json(tmp_path / "prob.json", payload)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "anisocurve.cli", "solve", prob, "--out-dir",
+         str(tmp_path / "out"), "--quiet"], env=env, capture_output=True, text=True)
 
 
 def test_warnings_reach_stderr_only_when_the_command_completes(tmp_path, capsys, monkeypatch,

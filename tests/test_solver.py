@@ -633,14 +633,26 @@ def test_fidelity_value_alone_is_the_first_output_bitwise(p):
             assert first.shape == second.shape == t.shape
 
 
-def _full_evaluation(terms, calls):
-    """``terms`` with every output computed before the value is read."""
-    def full(*args):
-        calls.append(terms.__name__)
-        value, derivatives = terms(*args)
-        yield value
-        yield derivatives
-    return full
+@pytest.mark.parametrize("p", [1.0, 1.05, 1.5, 3.0])
+def test_smoothed_power_stays_finite_while_t_squared_does(p):
+    # pyproject.toml turns an overflow's RuntimeWarning into a failure
+    t = np.array([1e100, -1e100])
+    value, (first, second) = solver._smoothed_power(t, p, 1e-3)
+    np.testing.assert_allclose(value, np.abs(t) ** p, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(first, p * np.sign(t) * np.abs(t) ** (p - 1.0), rtol=1e-15, atol=0.0)
+    assert np.isfinite(second).all() and np.all(second >= 0.0)
+
+
+def _evaluation(terms, reads, eager):
+    """``terms``, logging each output read; ``eager`` computes all of them before the value."""
+    def evaluate(*args):
+        outputs = terms(*args)
+        if eager:
+            outputs = iter(tuple(outputs))
+        for output in ("value", "derivatives"):
+            reads.append((terms.__name__, output))
+            yield next(outputs)
+    return evaluate
 
 
 def _line_search_cases():
@@ -656,43 +668,26 @@ def _line_search_cases():
 ], ids=["newton", "chain"])
 def test_value_only_line_search_takes_the_full_evaluations_steps(monkeypatch, method, gauges, ps):
     # the line search reads energy values alone; computed with every derivative
-    # beside them, as before, they give bitwise the same reports
-    def reports():
-        return [solve(GAUGES[gauge], grid, g, p)
-                for gauge in gauges for p in ps for grid, g in _line_search_cases()]
+    # before the value, as a full evaluation does, they give bitwise the same reports
+    def reports(eager):
+        reads = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Anisotropy, "smoothed_dual",
+                          _evaluation(Anisotropy.smoothed_dual, reads, eager))
+            for name in ("_fidelity_terms", "_smoothed_power"):
+                patch.setattr(solver, name, _evaluation(getattr(solver, name), reads, eager))
+            return reads, [solve(GAUGES[gauge], grid, g, p)
+                           for gauge in gauges for p in ps for grid, g in _line_search_cases()]
 
-    fast = reports()
+    reads, fast = reports(eager=False)
     assert {rep.method for rep in fast} == {method}
-    calls = []
-
-    def dual_value(aniso, r, h, eps):
-        calls.append("smoothed_dual_value")
-        return aniso.smoothed_dual(r, h, eps)[0]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Anisotropy, "smoothed_dual_value", dual_value)
-        for name in ("_fidelity_terms", "_smoothed_power"):
-            patch.setattr(solver, name, _full_evaluation(getattr(solver, name), calls))
-        full_terms = reports()
-    assert ("smoothed_dual_value" in calls) == (method == "newton") and "_smoothed_power" in calls
-    # and a line search that takes each trial's energy from the step itself,
-    # which the value alone must equal to the bit
-    descend, trials = solver._descend, []
-
-    def descend_on_full_values(u, eps, factor, scale, step, objective, cfg):
-        def value(v, e):
-            trials.append(step(v, e)[0])
-            assert objective(v, e) == trials[-1]
-            return trials[-1]
-        return descend(u, eps, factor, scale, step, value, cfg)
-
-    monkeypatch.setattr(solver, "_descend", descend_on_full_values)
-    full_steps = reports()
-    assert len(trials) >= len(fast)
-    for full in (full_terms, full_steps):
-        for a, b in zip(fast, full):
-            assert a.profile.values.tobytes() == b.profile.values.tobytes()
-            assert dataclasses.replace(a, profile=None) == dataclasses.replace(b, profile=None)
+    # the trials read the value of the energy's smoothed term without its derivatives
+    term = "smoothed_dual" if method == "newton" else "_smoothed_power"
+    assert reads.count((term, "derivatives")) < reads.count((term, "value"))
+    _, full = reports(eager=True)
+    for a, b in zip(fast, full):
+        assert a.profile.values.tobytes() == b.profile.values.tobytes()
+        assert dataclasses.replace(a, profile=None) == dataclasses.replace(b, profile=None)
 
 
 def test_polish_scores_only_candidates_that_move_a_node(monkeypatch):
