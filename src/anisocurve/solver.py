@@ -15,7 +15,11 @@ term per node.  :func:`solve` picks the method from the input:
   With a piecewise-linear edge term and a fidelity that is linear or
   quadratic in each unknown, each message of the forward pass is a
   convex piecewise-linear or piecewise-quadratic function, kept
-  exactly, and a backward pass reads the minimizer off them.  At p = 1
+  exactly, and a backward pass reads the minimizer off them.  A
+  quadratic message on an envelope of at most ``_LOCAL_LEVELS`` levels
+  is edited in place, band by band, so a node costs the same however
+  long the message grows; the staircase of p = 1 and denser envelopes are
+  rebuilt with whole-array operations at every node.  At p = 1
   and p = 2 one sweep solves the problem: no iterations, tolerance or
   smoothing, and the report says ``iterations = 1``,
   ``converged = True`` and ``final_stagnation = 0.0``.  At any other p
@@ -58,7 +62,9 @@ or sweep, or an infinite energy, raises :class:`SolverDivergenceError`.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,6 +109,14 @@ _ROUNDING = 1e-14
 # back on it
 _SNAP = 1e3 * _EPS_FLOOR
 _THOMAS_MAX = 128  # cyclic reduction hands systems this small to a Thomas sweep
+# a quadratic chain sweep edits its slope bands locally on envelopes of at
+# most this many levels, where that is faster than the whole-array sweep: more
+# levels make narrower bands, between which a node moves more points
+_LOCAL_LEVELS = 5
+# the local sweep writes a band's points out in full once the fidelity updates
+# it keeps for them would add more than this many times the band's largest
+# |level| to one of them
+_LOCAL_SLACK = 64.0
 _ORACLE_LEVELS = 21  # brute_force_oracle: lattice points per node
 
 
@@ -344,17 +358,57 @@ def _chain_sweep(
     The edge step is the inf-convolution with psi(-.), whose slope levels
     sigma_1 < ... < sigma_m and kinks tau_1 < ... < tau_{m-1} are those
     of the gauge's envelope: the part of the curve between its crossings of
-    sigma_i and sigma_{i+1} moves along x by tau_i, flat pieces at the
-    levels join the parts, and the curve is clipped to [sigma_1, sigma_m].
-    The first crossing X_i of every level is kept per node, and the
-    backward pass reads u_j from u_{j+1} by a bisection over the levels:
+    sigma_i and sigma_{i+1} (band i) moves along x by tau_i, flat pieces at
+    the levels join the bands, and the curve is clipped to
+    [sigma_1, sigma_m].  The first crossing X_i of every level is kept per
+    node, and the backward pass reads u_j from u_{j+1} by a bisection over
+    the levels:
 
         u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})).
 
+    Two forward passes build the same messages.  A quadratic sweep over an
+    envelope of at most ``_LOCAL_LEVELS`` levels edits each band in place
+    (:func:`_local_messages`), so a node costs a fixed amount of work per
+    band plus the points that cross a level, however long the polyline.
+    The staircase (q = 1) and denser envelopes, where a node moves many
+    points between many narrow bands, take :func:`_array_messages`, a
+    fixed number of whole-array operations on the polyline per node.
+    Once a centre, a weight or an end of the derivative is not finite,
+    every u_j is NaN.
+    """
+    local = quadratic and len(levels) <= _LOCAL_LEVELS
+    messages = (_local_messages(levels, kinks, centres, weights) if local
+                else _array_messages(levels, kinks, centres, weights, quadratic))
+    if messages is None:  # the data or a message left the floats
+        return np.full(len(centres), math.nan)
+    crossings, root = messages
+    # backward pass: in u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})) the
+    # first argument of min falls with i and the second rises, so the inner
+    # max sits where X_{i+1} + tau_i crosses u_{j+1}; two places either side
+    # of that crossing also cover rounding
+    u = [root]
+    kink_list = kinks.tolist()
+    for row in reversed(crossings):
+        y = u[-1]
+        meets = [x + kink for x, kink in zip(row[1:], kink_list)]
+        k = bisect.bisect_left(meets, y)
+        best = row[0]
+        for i in range(max(k - 2, 0), min(k + 2, len(meets))):
+            candidate = min(y - kink_list[i], row[i + 1])
+            if candidate > best:
+                best = candidate
+        u.append(best)
+    return np.array(u[::-1])
+
+
+def _array_messages(levels, kinks, centres, weights, quadratic):
+    """The forward pass of :func:`_chain_sweep` on the whole polyline at once.
+
+    Returns the first crossings of every level per edge, as lists, and the
+    root of the last message's derivative, or None once a number leaves the
+    floats.
     Each node's edge step is a fixed number of whole-array operations on
-    the polyline, which grows by at most 2 m points per node.  Once a
-    centre, a weight or an end of the derivative is not finite, every u_j
-    is NaN.
+    the polyline, which grows by at most 2 m points per node.
     """
     flat_levels = np.concatenate([levels[1:], levels[:-1]])
     flat_kinks = np.concatenate([kinks, kinks])
@@ -362,7 +416,7 @@ def _chain_sweep(
     x, lam, slope = centres[:1].copy(), np.zeros(1), 0.0  # M' = 0 before node 0
     for j, (cj, wj) in enumerate(zip(centres.tolist(), weights.tolist())):
         if not all(map(math.isfinite, (cj, wj, lam[0], lam[-1]))):
-            return np.full(len(centres), math.nan)  # the data or a message left the floats
+            return None
         if j:
             # edge step: part b of the curve, between the crossings of levels
             # b and b + 1, is x[after[b]:before[b + 1]] and moves by kink b; a
@@ -371,7 +425,7 @@ def _chain_sweep(
             after = before if quadratic else lam.searchsorted(levels, "right")
             lo = _level_crossings(x, lam, slope, levels, before)
             hi = lo if quadratic else _level_crossings(x, lam, slope, levels, after)
-            crossings.append(lo)
+            crossings.append(lo.tolist())
             body_x, body_lam = x[after[0]:before[-1]], lam[after[0]:before[-1]]
             if not quadratic:
                 keep = levels[levels.searchsorted(body_lam)] != body_lam
@@ -397,20 +451,147 @@ def _chain_sweep(
             jump_x, jump_lam = [cj, cj], [v - wj, v + wj]
         x = np.concatenate([x[:s], jump_x, x[s:]])
         lam = np.concatenate([lam[:s] - wj, jump_lam, lam[s:] + wj])
-    # backward pass: in u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})) the
-    # first argument of min falls with i and the second rises, so the inner
-    # max sits where X_{i+1} + tau_i crosses u_{j+1}; two places either side
-    # of that crossing also cover rounding
     root = _level_crossings(x, lam, slope, np.zeros(1), lam.searchsorted([0.0]))
-    u = [float(root[0])]
-    first = np.array(crossings[::-1])  # a grid has at least one edge
-    kink_list = kinks.tolist()
-    for row, meets in zip(first.tolist(), (first[:, 1:] + kinks).tolist()):
-        y = u[-1]
-        k = bisect.bisect_left(meets, y)
-        u.append(max(row[0], *(min(y - kink_list[i], row[i + 1])
-                               for i in range(max(k - 2, 0), min(k + 2, len(meets))))))
-    return np.array(u[::-1])
+    return crossings, float(root[0])
+
+
+def _local_messages(levels, kinks, centres, weights):
+    """The forward pass of a quadratic :func:`_chain_sweep`, edited locally per node.
+
+    The polyline is kept as its m - 1 bands, each a deque of the points
+    with sigma_b <= M' <= sigma_{b+1} in order, between the two flats that
+    the last edge step pushed.  Band b stores a point relative to an origin
+    of its own and to the fidelity the band has taken since: (y, l) is the
+    point (y + s_b, l + A_b y + B_b).  The edge step moves the band by
+    adding its kink to s_b, and the fidelity step adds 2 W_j to A_b and
+    2 W_j (s_b - c_j) to B_b, the update 2 W_j (x - c_j) at the origin.
+    The two ends of every band, which are all that a node reads, are also
+    kept as plain points and updated like the whole-array sweep's points,
+    so the crossings are as accurate as its; the stored form only holds a
+    point until it becomes an end.  That form loses digits as A_b y + B_b
+    grows against l, so a band that empties restarts at the next point it
+    receives, with its origin there and A_b = B_b = 0, and a band whose
+    A_b y + B_b exceeds ``_LOCAL_SLACK`` times its largest |level| at
+    either end is written out in full again around its middle point.
+
+    At each node the ends that crossed a level move to the neighbouring
+    band, those outside [sigma_1, sigma_m] are clipped, the crossings are
+    read off the band ends, and every band takes its two flats: a node
+    costs a fixed amount of work per band, plus the points that cross a
+    level.  Returns what :func:`_array_messages` returns.
+    """
+    sig, tau = levels.tolist(), kinks.tolist()
+    top = len(tau)  # the number of bands, and the index of the last level
+    bands = [deque() for _ in tau]
+    first, last = [None] * top, [None] * top  # each band's end points, (x, M'(x))
+    shift, grow, base = [0.0] * top, [0.0] * top, [0.0] * top  # s_b, A_b and B_b
+    # the most that A_b y + B_b may add to a stored point before band b is rebased
+    reach = [_LOCAL_SLACK * max(-lo, hi) for lo, hi in zip(sig, sig[1:])]
+    isfinite = math.isfinite
+
+    def point(b, stored):  # the point that band b stores as stored
+        y, l = stored
+        return y + shift[b], l + (grow[b] * y + base[b])
+
+    def push(b, end, at_front):  # add the point end = (x, M'(x)) to an end of band b
+        band = bands[b]
+        if not band:  # an empty band restarts with its origin at the point
+            shift[b], grow[b], base[b] = end[0], 0.0, 0.0
+            first[b] = last[b] = end
+        (first if at_front else last)[b] = end
+        y = end[0] - shift[b]
+        stored = y, end[1] - (grow[b] * y + base[b])
+        band.appendleft(stored) if at_front else band.append(stored)
+
+    def pop(b, at_front):  # remove an end point of band b and return it
+        band, ends = bands[b], first if at_front else last
+        end = ends[b]
+        band.popleft() if at_front else band.pop()
+        if band:
+            ends[b] = point(b, band[0 if at_front else -1])
+        else:
+            first[b] = last[b] = None
+        return end
+
+    crossings = []  # per node, the first crossing of every level
+    push(0, (float(centres[0]), 0.0), True)  # M' = 0 before node 0
+    slope = 0.0
+    for j, (cj, wj) in enumerate(zip(centres.tolist(), weights.tolist())):
+        if not (isfinite(cj) and isfinite(wj)):
+            return None
+        if j:
+            # the ends that crossed a level move to the band above it, then
+            # to the band below it, one level at a time
+            for i in range(1, top):
+                level = sig[i]
+                while last[i - 1] and last[i - 1][1] >= level:
+                    push(i, pop(i - 1, False), True)
+            for i in range(top - 1, 0, -1):
+                level = sig[i]
+                while first[i] and first[i][1] < level:
+                    push(i - 1, pop(i, True), False)
+            # clip to [sigma_1, sigma_m], keeping the nearest clipped point of
+            # either end for the crossing of the outer level
+            below = above = None
+            while first[0] and first[0][1] < sig[0]:
+                below = pop(0, True)
+            while last[-1] and last[-1][1] >= sig[top]:
+                above = pop(top - 1, False)
+            # level i lies between the last point of the bands below it and
+            # the first of the bands above; past the ends the curve goes on
+            # with the slope of the tails
+            lows, ups = [below], [above]
+            for b in range(top):
+                lows.append(last[b] or lows[-1])
+                ups.append(first[-1 - b] or ups[-1])
+            ups.reverse()
+            if not (isfinite((below or ups[0])[1]) and isfinite((above or lows[-1])[1])):
+                return None  # an end of the derivative left the floats
+            row = []
+            for level, lo, up in zip(sig, lows, ups):
+                near = lo or up
+                row.append(lo[0] + (level - lo[1]) * ((up[0] - lo[0]) / (up[1] - lo[1]))
+                           if lo and up else near[0] + (level - near[1]) / slope)
+            crossings.append(row)
+            for b, band in enumerate(bands):
+                kink = tau[b]
+                shift[b] += kink
+                start, end = row[b] + kink, row[b + 1] + kink
+                # the flats are the new ends; where the curve never reaches a
+                # level, the old end moved with the band
+                if isfinite(start):
+                    push(b, (start, sig[b]), True)
+                elif band:
+                    first[b] = point(b, band[0])
+                if isfinite(end):
+                    push(b, (end, sig[b + 1]), False)
+                elif band:
+                    last[b] = point(b, band[-1])
+                if band and grow[b] * max(-band[0][0], band[-1][0]) + abs(base[b]) > reach[b]:
+                    # the stored form outgrew the band's levels: write the
+                    # points out in full again, around the middle one
+                    points = [point(b, q) for q in band]
+                    shift[b] = mid = points[len(points) // 2][0]
+                    grow[b] = base[b] = 0.0
+                    band.clear()
+                    band.extend((x - mid, lam) for x, lam in points)
+        slope = 2.0 * wj
+        for b in range(top):
+            grow[b] += slope
+            base[b] += slope * (shift[b] - cj)
+            if first[b]:  # the ends take the update itself
+                x, lam = first[b]
+                first[b] = x, lam + slope * (x - cj)
+                x, lam = last[b]
+                last[b] = x, lam + slope * (x - cj)
+    curve = []  # the last message, each band between its ends as kept
+    for b, band in enumerate(bands):
+        if band:
+            middle = itertools.islice(band, 1, len(band) - 1)
+            curve += [first[b], *(point(b, q) for q in middle), last[b]][-len(band):]
+    x, lam = np.array(curve).T
+    root = _level_crossings(x, lam, slope, np.zeros(1), lam.searchsorted([0.0]))
+    return crossings, float(root[0])
 
 
 def _level_crossings(

@@ -17,7 +17,7 @@ from anisocurve import (
     energy,
     solve,
 )
-from anisocurve.energy import energy_totals
+from anisocurve.energy import energy_totals, trapezoid_weights
 from anisocurve.solver import _lattice_minimum, _solve_chain, _solve_newton, _solve_path_laplacian
 from anisocurve import reference as ref
 from anisocurve import solver
@@ -616,6 +616,83 @@ def test_chain_maximum_principle_under_the_hexagon():
         truncated = energy(HEXAGON, Profile(grid, np.clip(u, g.min(), g.max())), g, p).total
         assert truncated > rep.energy.total + 1e-6
     assert inside >= len(cases) // 2
+
+
+# -- local and whole-array quadratic sweeps -----------------------------
+
+# a regular octagon: its edge term has 5 slope levels
+OCTAGON = Anisotropy.polygon([[np.cos(t), np.sin(t)] for t in np.pi / 4 * np.arange(8)])
+SPARSE = {"square": SQUARE, "lp1": GAUGES["lp1"], "hexagon": HEXAGON, "octagon": OCTAGON}
+
+
+def _sweep_input(aniso, grid):
+    """The levels and kinks that :func:`solver._solve_chain` hands to the sweep."""
+    s, _, handover = aniso.dual_envelope
+    return -s[::-1], -(grid.h * handover)[::-1]
+
+
+def _quadratic_sweeps(monkeypatch, aniso, grid, centres, weights):
+    """The profile of the local quadratic sweep, then that of the whole-array one."""
+    levels, kinks = _sweep_input(aniso, grid)
+    assert len(levels) <= solver._LOCAL_LEVELS
+    local = solver._chain_sweep(levels, kinks, centres, weights, True)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_LOCAL_LEVELS", 0)
+        whole = solver._chain_sweep(levels, kinks, centres, weights, True)
+    return local, whole
+
+
+@pytest.mark.parametrize("gauge", SPARSE)
+def test_local_quadratic_sweep_matches_the_whole_array_sweep(monkeypatch, gauge):
+    # weights spread over three decades, as a proximal Newton model's can be
+    rng = np.random.default_rng([31, list(SPARSE).index(gauge)])
+    for n in (1, 2, 8, 64, 512, 4096):
+        grid = Grid(-1, 1, n)
+        noisy = np.sin(3 * grid.nodes()) + 0.3 * rng.standard_normal(n + 1)
+        # below 5 cells every node is a level of its own
+        fuzz = _fuzz(rng, n) if n >= 5 else rng.uniform(-1, 1, n + 1)
+        for g in (GSpec.step(0.3).sample(grid), fuzz, noisy):
+            weights = trapezoid_weights(grid) * 10.0 ** rng.uniform(-1.5, 1.5, n + 1)
+            local, whole = _quadratic_sweeps(monkeypatch, SPARSE[gauge], grid, g, weights)
+            scale = np.ptp(g) + grid.length
+            np.testing.assert_allclose(local, whole, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_quadratic_sweeps_are_bitwise_scale_equivariant(monkeypatch, k):
+    # centres and kinks times 2^k, weights times 2^-k: every product of a
+    # weight and a length is unchanged, so the profile is exactly 2^k times
+    rng = np.random.default_rng(37)
+    for aniso in SPARSE.values():
+        grid = Grid(-1, 1, 64)
+        weights = trapezoid_weights(grid) * 10.0 ** rng.uniform(-1.5, 1.5, 65)
+        for g in (_fuzz(rng, 64), np.sin(3 * grid.nodes()) + 0.3 * rng.standard_normal(65)):
+            levels, kinks = _sweep_input(aniso, grid)
+            for limit in (solver._LOCAL_LEVELS, 0):  # the local sweep, then the whole-array one
+                monkeypatch.setattr(solver, "_LOCAL_LEVELS", limit)
+                u = solver._chain_sweep(levels, kinks, g, weights, True)
+                scaled = solver._chain_sweep(levels, np.ldexp(kinks, k), np.ldexp(g, k),
+                                             np.ldexp(weights, -k), True)
+                assert scaled.tobytes() == np.ldexp(u, k).tobytes()
+
+
+def test_only_quadratic_sweeps_on_sparse_envelopes_edit_locally(monkeypatch):
+    calls = []
+    for name in ("_local_messages", "_array_messages"):
+        forward = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *args, name=name, forward=forward:
+                            calls.append(name) or forward(*args))
+    grid = Grid(-1, 1, 32)
+    g = GSpec.step(0.3).sample(grid)
+    generic = Anisotropy.generic(math.hypot)  # 2049 slope levels
+    for aniso, p, forward in ((SQUARE, 2.0, "_local_messages"), (OCTAGON, 2.0, "_local_messages"),
+                              (SQUARE, 1.0, "_array_messages"), (generic, 2.0, "_array_messages")):
+        calls.clear()
+        assert solve(aniso, grid, g, p).method == "chain"
+        assert calls == [forward]
+    calls.clear()
+    solve(GAUGES["lp1"], grid, g, 1.5)  # each proximal Newton step is a quadratic sweep
+    assert len(calls) > 1 and set(calls) == {"_local_messages"}
 
 
 # -- value-only line search and polish ----------------------------------
