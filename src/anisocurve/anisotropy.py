@@ -368,7 +368,7 @@ class Anisotropy:
         """
         r = np.asarray(r, dtype=float)
         if self._axes:
-            a2, b2 = self._axes[0] ** 2, self._axes[1] ** 2
+            a2, b2 = self._axes[0] * self._axes[0], self._axes[1] * self._axes[1]
             s = np.sqrt(a2 * r * r + b2 * h * h)
             yield s
             yield a2 * r / s, a2 * (b2 * h / s) * (h / s) / s, b2 * h / s

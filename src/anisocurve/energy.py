@@ -257,6 +257,8 @@ def read_profile_csv(path) -> Profile:
     s, values = _read_two_column_csv(path, "u")
     if len(s) < 2:
         raise IngestionError("profile csv needs at least two nodes")
+    if not math.isfinite(float(values.max()) - float(values.min())):
+        raise IngestionError("profile csv values must span a finite range")
     grid = Grid(float(s[0]), float(s[-1]), len(s) - 1)
     tol = min(1e-9 * max(abs(s[0]), abs(s[-1])), 1e-2 * grid.h)
     if np.any(np.abs(s - grid.nodes()) > tol):

@@ -38,25 +38,29 @@ smoothing width.  Each step, like each smoothed term, yields its value
 before its derivatives, so a line-search trial reads the first yield
 alone.  Both methods need second derivatives, so the nonsmooth pieces are
 smoothed with a relative width eps: |t|^p of the fidelity becomes
-(t^2 + (eps S)^2)^(p/2), with S the datum's range plus the interval
-length, for p < 2 (Newton) or every p other than 1 and 2 (the chain),
-and Newton's gauge term uses :meth:`Anisotropy.smoothed_dual` at width
-eps h (a smoothed |r|^q' for lp(q > 2)).  The chain never smooths the
-gauge: since :func:`solve` sends every polygon to the chain, the polygon
-branch of ``smoothed_dual``, a log-sum-exp over the m lines of the same
-envelope, serves only ``dual_feasibility_max_violation`` and the tests'
-Newton reference.  eps starts at 1e-2 and shrinks each time the
-iteration settles (five-fold for Newton, a thousandfold for the chain),
-down to a fixed floor of 1e-10 (continuation); Newton problems with no
-nonsmooth piece start at the floor.  Every smoothed term is an upper
-bound of the exact one; at the floor the excess is at most about
-1e-10 (S + h log m) per unit length.  The floor is not lower because
-the energy changes across a smoothed kink, about eps h, must stay well
-above the rounding of the energy sum for the line search to resolve
-them.  The smoothing also scatters the nodes that the exact minimizer
-keeps on the datum by about eps S; the final polish of :func:`solve`
-puts them back.  A number that leaves the floats becomes NaN; a NaN step
-or sweep, or an infinite energy, raises :class:`SolverDivergenceError`.
+(t^2 + (eps S)^2)^(p/2) by :func:`_smoothed_power`, with S the datum's
+range plus the interval length, at every p that a method iterates on
+(every p for Newton, every p other than 1 and 2 for the chain).  Above
+p = 2 this keeps a node curvature of order (eps S)^(p-2) at u = g, where
+|t|^p has none.  Newton's gauge term uses
+:meth:`Anisotropy.smoothed_dual` at width eps h (a smoothed |r|^q' for
+lp(q > 2)).  The chain never smooths the gauge: since :func:`solve`
+sends every polygon to the chain, the polygon branch of
+``smoothed_dual``, a log-sum-exp over the m lines of the same envelope,
+serves only ``dual_feasibility_max_violation`` and the tests' Newton
+reference.  eps starts at 1e-2 and shrinks each time the iteration
+settles (five-fold for Newton, a thousandfold for the chain), down to a
+fixed floor of 1e-10 (continuation); Newton problems with no nonsmooth
+piece (p >= 2 and a smooth dual gauge) start at the floor.  Every
+smoothed term is an upper bound of the exact one; at the floor the
+excess is at most about 1e-10 (S + h log m) per unit length.  The floor
+is not lower because the energy changes across a smoothed kink, about
+eps h, must stay well above the rounding of the energy sum for the line
+search to resolve them.  The smoothing also scatters the nodes that the
+exact minimizer keeps on the datum by about eps S; the final polish of
+:func:`solve` puts them back.  A number that leaves the floats becomes
+NaN; a NaN step or sweep, or an infinite energy, raises
+:class:`SolverDivergenceError`.
 """
 
 from __future__ import annotations
@@ -210,8 +214,9 @@ def _solve_newton(
     reads, then solves the tridiagonal Newton system H d = -grad by
     :func:`_solve_path_laplacian`, as H is the edges' curvatures on a path
     plus the nodes', and yields d and the decrease -grad . d, the squared
-    Newton decrement.  eps starts at the floor when nothing is smoothed
-    (p >= 2 and a smooth dual gauge).
+    Newton decrement.  The fidelity is smoothed at every p, so at u = g
+    each node has a curvature even above p = 2.  eps starts at the floor
+    when no term is nonsmooth (p >= 2 and a smooth dual gauge).
     ``iterations`` counts Newton systems solved.
     """
     h = grid.h
@@ -223,7 +228,7 @@ def _solve_newton(
 
     def step(u: np.ndarray, eps: float):
         area = aniso.smoothed_dual(u[:-1] - u[1:], h, eps)
-        fid = _fidelity_terms(u - g, p, eps * scale)
+        fid = _smoothed_power(u - g, p, eps * scale)
         yield float(next(area).sum() + (w * next(fid)).sum())
         (da, dda, _), (dfid, ddfid) = next(area), next(fid)
         grad, excess = w * dfid, w * ddfid
@@ -659,17 +664,6 @@ def _polished_report(
         dual_feasibility_max_violation=max(violation, 0.0),
         method=method,
     )
-
-
-def _fidelity_terms(t: np.ndarray, p: float, eps: float):
-    """Yield |t|^p, then its first two derivatives; (t^2 + eps^2)^(p/2) for p < 2."""
-    if p < 2.0:
-        yield from _smoothed_power(t, p, eps)
-    else:
-        a = np.abs(t)
-        ap = a ** (p - 2.0)
-        yield a * a * ap
-        yield p * t * ap, p * (p - 1.0) * ap
 
 
 def _smoothed_power(t: np.ndarray, p: float, eps: float):

@@ -406,13 +406,28 @@ def test_singular_newton_system_exits_three(tmp_path, capsys):
 def test_solve_that_stalls_says_so(tmp_path, capsys):
     # no decrease of the energy is representable at this height
     prob = _write_json(tmp_path / "prob.json", _problem_payload(
-        p=2.5, g={"kind": "step", "a": 1e20}, grid={"n": 16}, solver={}))
+        p=1.0, g={"kind": "step", "a": 1e20}, grid={"n": 16}, solver={}))
     assert main(["solve", prob, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert not report["converged"] and report["iterations"] < 200_000
     out = capsys.readouterr().out
     assert "warning: the solve stalled before convergence" in out
     assert "budget" not in out
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+@pytest.mark.parametrize("axes", [(1e160, 1.0), (1e-200, 1e200)], ids=["wide", "both"])
+def test_ellipse_with_a_huge_semi_axis_exits_three_with_one_line(tmp_path, capsys, command,
+                                                                 axes):
+    # the squared semi-axis overflows to inf, and the solve diverges at its first step
+    prob = _write_json(tmp_path / "prob.json", _problem_payload(
+        anisotropy={"kind": "ellipse", "a": axes[0], "b": axes[1]}, grid={"n": 16}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, prob, "--out-dir", str(out), "--quiet"]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver diverged at iteration ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("p_text", ["NaN", "Infinity", "-Infinity"])
@@ -823,6 +838,17 @@ def test_step_datum_on_a_tiny_interval_is_solved(tmp_path):
     constant = energy(Anisotropy.euclidean(), Profile(grid, np.zeros(17)), g, 1.0).total
     assert report["converged"] and report["energy"]["fidelity"] > 0.0
     assert report["energy"]["total"] <= constant * (1.0 + 1e-9)
+
+
+def test_profile_whose_range_overflows_exits_two_with_one_line(tmp_path, capsys, euclid_json):
+    # max - min of the values is inf, which no monotonicity tolerance can scale
+    path = tmp_path / "u.csv"
+    path.write_text("s,u\n-1,-1e308\n0,0\n1,1e308\n")
+    out = tmp_path / "out"
+    rc = main(["classify", str(path), euclid_json, "--out-dir", str(out), "--quiet"])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == "error: profile csv values must span a finite range\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["s,u\n1,0\n0.5,0\n0,0\n", "s,u\n0,0\n1e-12,0\n5e-12,0\n",

@@ -358,6 +358,30 @@ def test_newton_converges_on_intervals_far_below_the_datum(p):
             assert rep.energy.total <= constant * (1.0 + 1e-6), (n, length)
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_newton_above_p_two_reaches_the_constant_on_tiny_intervals(p):
+    # the smoothed fidelity keeps a node curvature of order (eps S)^(p-2) at
+    # u = g, where |t|^p has none, so the first step moves the whole profile;
+    # a solve left at u = g reads up to 4.7e39 times the constant's energy
+    for n in (16, 57):
+        for length in (1e-22, 1e-24, 1e-32, 1e-40):
+            grid = Grid(-length, length, n)
+            g = GSpec.step(0.5).sample(grid)
+            rep = solve(EUCLID, grid, g, p, SolverConfig(max_iters=2000))
+            constant = energy(EUCLID, Profile(grid, np.zeros(n + 1)), g, p).total
+            assert rep.converged, (n, length)
+            assert rep.energy.total <= constant * (1.0 + 1e-6), (n, length)
+
+
+def test_newton_on_a_huge_step_above_p_two_converges_at_the_datum():
+    # the decrease left below E(g) is about 1e-20 relative, far below tol_rel
+    grid = Grid(-1, 1, 16)
+    g = GSpec.step(1e20).sample(grid)
+    rep = solve(EUCLID, grid, g, 2.5)
+    assert rep.converged
+    assert rep.energy.total == energy(EUCLID, Profile(grid, g), g, 2.5).total
+
+
 @pytest.mark.parametrize("gauge", sorted(GAUGES))
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_newton_energy_not_above_pdhg(gauge, p):
@@ -703,11 +727,10 @@ def test_fidelity_value_alone_is_the_first_output_bitwise(p):
     eps = 1e-3
     t = np.array([0.0, eps, -eps, 0.5, -2.0, 1e100, -1e100])
     with np.errstate(over="ignore"):  # the powers overflow at 1e100, alone or in full
-        for terms in (solver._fidelity_terms, solver._smoothed_power):
-            value = next(terms(t, p, eps))
-            full, (first, second) = terms(t, p, eps)
-            assert value.tobytes() == full.tobytes()
-            assert first.shape == second.shape == t.shape
+        value = next(solver._smoothed_power(t, p, eps))
+        full, (first, second) = solver._smoothed_power(t, p, eps)
+        assert value.tobytes() == full.tobytes()
+        assert first.shape == second.shape == t.shape
 
 
 @pytest.mark.parametrize("p", [1.0, 1.05, 1.5, 3.0])
@@ -751,8 +774,8 @@ def test_value_only_line_search_takes_the_full_evaluations_steps(monkeypatch, me
         with monkeypatch.context() as patch:
             patch.setattr(Anisotropy, "smoothed_dual",
                           _evaluation(Anisotropy.smoothed_dual, reads, eager))
-            for name in ("_fidelity_terms", "_smoothed_power"):
-                patch.setattr(solver, name, _evaluation(getattr(solver, name), reads, eager))
+            patch.setattr(solver, "_smoothed_power",
+                          _evaluation(solver._smoothed_power, reads, eager))
             return reads, [solve(GAUGES[gauge], grid, g, p)
                            for gauge in gauges for p in ps for grid, g in _line_search_cases()]
 
