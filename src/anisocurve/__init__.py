@@ -9,6 +9,8 @@ classification and vertical rearrangement machinery.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .anisotropy import (
     Anisotropy,
     AnisotropyError,
@@ -18,7 +20,7 @@ from .anisotropy import (
     WulffMeasures,
     anisotropy_from_json,
 )
-from .classifier import CahnHoffmanResult, cahn_hoffman, edge_normals
+from .classifier import CahnHoffmanResult, EdgeNormals, cahn_hoffman, edge_normals
 from .energy import (
     EnergyBreakdown,
     Grid,
@@ -39,6 +41,7 @@ from .geometry import (
 )
 from .problem import Problem, load_problem, problem_from_json
 from .regularity import (
+    RefinementStudy,
     RegularityReport,
     TangentBallReport,
     lipschitz_report,
@@ -61,4 +64,6 @@ from .threshold import (
     sigma_threshold,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them binds here
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

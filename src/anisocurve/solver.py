@@ -47,10 +47,10 @@ p = 2 this keeps a node curvature of order (eps S)^(p-2) at u = g, where
 lp(q > 2)).  The chain never smooths the gauge: since :func:`solve`
 sends every polygon to the chain, the polygon branch of
 ``smoothed_dual``, a log-sum-exp over the m lines of the same envelope,
-serves only ``dual_feasibility_max_violation`` and the tests' Newton
-reference.  eps starts at 1e-2 and shrinks each time the iteration
-settles (five-fold for Newton, a thousandfold for the chain), down to a
-fixed floor of 1e-10 (continuation); Newton problems with no nonsmooth
+serves only the tests' Newton reference.  eps starts at 1e-2 and
+shrinks each time the iteration settles (five-fold for Newton, a
+thousandfold for the chain), down to a fixed floor of 1e-10
+(continuation); Newton problems with no nonsmooth
 piece (p >= 2 and a smooth dual gauge) start at the floor.  Every
 smoothed term is an upper bound of the exact one; at the floor the
 excess is at most about 1e-10 (S + h log m) per unit length.  The floor
@@ -190,24 +190,79 @@ def solve(
     the exact energy beyond rounding, which truncation can do under a
     gauge that is not mirror-symmetric.  The reported energy is the exact
     one, from :func:`anisocurve.energy.energy`.
-    ``dual_feasibility_max_violation`` is measured on the smoothed dual
-    field grad_w phi°_eps(-du, h) at the floor width, where converged solves
-    end; the field lies in the Wulff shape up to rounding.
+    ``dual_feasibility_max_violation`` is measured on the dual field
+    grad_w phi°_eps(-du, h): for Newton smoothed at the floor width, where
+    converged solves end, and for the chain, which never smooths, the vertex
+    of the envelope's line on top at each edge.  The field lies in the Wulff
+    shape up to rounding.  Cells whose half width is below the smallest
+    normal float raise ValueError.
     """
     check_fidelity_exponent(p)
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.n_cells + 1,):
         raise ValueError("datum samples must match the grid nodes")
+    if 0.5 * grid.h < np.finfo(float).tiny:
+        raise ValueError(f"cells of width {grid.h:.3g} are too short to solve on: half a cell "
+                         "is below the smallest normal float")
     if not np.isfinite(g).all():
         raise SolverDivergenceError(1)
-    if aniso.kind == "polygon":
-        return _solve_chain(aniso, grid, g, p, cfg or SolverConfig())
-    return _solve_newton(aniso, grid, g, p, cfg or SolverConfig())
+    method = _solve_chain if aniso.kind == "polygon" else _solve_newton
+    return _run(method, aniso, grid, g, p, cfg or SolverConfig())
+
+
+def _run(method, aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float,
+         cfg: SolverConfig) -> SolveReport:
+    """Run ``method(aniso, grid, g, p, w, scale, cfg)``, w the trapezoid weights, then
+    polish and report the iterate it returns, as :func:`solve` describes."""
+    w = trapezoid_weights(grid)
+    # the scale of u: the datum's range plus the interval length (for gauges
+    # whose cheapest slope is not zero).  It bounds the Newton steps and sets
+    # the fidelity's smoothing width eps * scale.
+    scale = float(np.ptp(g)) + grid.length
+    u, iterations, converged, stagnation = method(aniso, grid, g, p, w, scale, cfg)
+    if not np.isfinite(u).all():
+        raise SolverDivergenceError(iterations)
+
+    def polished(profile, report, values):
+        if values.tobytes() == profile.values.tobytes():  # nothing to score
+            return profile, report
+        candidate = Profile(grid, values)
+        candidate_energy = energy(aniso, candidate, g, p)
+        if candidate_energy.total <= report.total * (1.0 + _ROUNDING):
+            return candidate, candidate_energy
+        return profile, report
+
+    profile = Profile(grid, u)
+    report_energy = energy(aniso, profile, g, p)
+    if not math.isfinite(report_energy.total):
+        raise SolverDivergenceError(iterations)
+    profile, report_energy = polished(
+        profile, report_energy, np.where(np.abs(u - g) <= _SNAP * scale, g, u))
+    profile, report_energy = polished(
+        profile, report_energy, np.clip(profile.values, g.min(), g.max()))
+    r = -np.diff(profile.values)
+    if method is _solve_chain:  # the chain never smooths: the vertex of the line on top
+        slopes, heights, handover = aniso.dual_envelope
+        k = (grid.h * handover).searchsorted(r)
+        n1, n2 = slopes[k], heights[k]
+    else:
+        _, (n1, _, n2) = aniso.smoothed_dual(r, grid.h, _EPS_FLOOR)
+    violation = float(np.max(aniso.eval_many(np.column_stack([n1, n2]))) - 1.0)
+    return SolveReport(
+        profile=profile,
+        energy=report_energy,
+        iterations=iterations,
+        converged=converged,
+        final_stagnation=float(stagnation),
+        dual_feasibility_max_violation=max(violation, 0.0),
+        method=method.__name__.removeprefix("_solve_"),
+    )
 
 
 def _solve_newton(
-    aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float, cfg: SolverConfig = SolverConfig()
-) -> SolveReport:
+    aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float, w: np.ndarray, scale: float,
+    cfg: SolverConfig,
+) -> tuple[np.ndarray, int, bool, float]:
     """Damped Newton steps from u = g on the smoothed energy, run by :func:`_descend`.
 
     Each step yields the smoothed energy, which is all a line-search trial
@@ -220,11 +275,6 @@ def _solve_newton(
     ``iterations`` counts Newton systems solved.
     """
     h = grid.h
-    w = trapezoid_weights(grid)
-    # the scale of u: the datum's range plus the interval length (for gauges
-    # whose cheapest slope is not zero).  It bounds the Newton steps and sets
-    # the fidelity's smoothing width eps * scale.
-    scale = float(np.ptp(g)) + grid.length
 
     def step(u: np.ndarray, eps: float):
         area = aniso.smoothed_dual(u[:-1] - u[1:], h, eps)
@@ -239,13 +289,13 @@ def _solve_newton(
         yield d, -float(grad @ d)
 
     eps = _EPS_FLOOR if p >= 2.0 and aniso.smooth_dual else _EPS_START
-    return _polished_report(aniso, grid, g, p, *_descend(
-        g.copy(), eps, _EPS_FACTOR, scale, step, cfg), "newton")
+    return _descend(g.copy(), eps, _EPS_FACTOR, scale, step, cfg)
 
 
 def _solve_chain(
-    aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float, cfg: SolverConfig = SolverConfig()
-) -> SolveReport:
+    aniso: Anisotropy, grid: Grid, g: np.ndarray, p: float, w: np.ndarray, scale: float,
+    cfg: SolverConfig,
+) -> tuple[np.ndarray, int, bool, float]:
     """Minimize for a polygon gauge by exact chain sweeps (:func:`_chain_sweep`).
 
     At p = 1 and p = 2 every term is piecewise linear or quadratic, so one
@@ -270,13 +320,8 @@ def _solve_chain(
     # slopes -s_m < ... < -s_1 and kinks at -h times the hand-over points
     s, _, handover = aniso.dual_envelope
     levels, kinks = -s[::-1], -(grid.h * handover)[::-1]
-    w = trapezoid_weights(grid)
     if p in (1.0, 2.0):
-        u = _chain_sweep(levels, kinks, g, w, p == 2.0)
-        if not np.isfinite(u).all():
-            raise SolverDivergenceError(1)
-        return _polished_report(aniso, grid, g, p, u, 1, True, 0.0, "chain")
-    scale = float(np.ptp(g)) + grid.length
+        return _chain_sweep(levels, kinks, g, w, p == 2.0), 1, True, 0.0
     # a model curvature floor, relative to the edge terms' slope per unit of u;
     # it keeps the sweep finite where f'' vanishes to rounding (large p)
     ridge = _RIDGE * float(np.abs(levels).max()) / scale
@@ -293,8 +338,7 @@ def _solve_chain(
         d = _chain_sweep(levels, kinks, u - 0.5 * grad / weights, weights, True) - u
         yield d, area - edges(u + d) - float(grad @ d)
 
-    return _polished_report(aniso, grid, g, p, *_descend(
-        g.copy(), _EPS_START, _CHAIN_EPS_FACTOR, scale, step, cfg), "chain")
+    return _descend(g.copy(), _EPS_START, _CHAIN_EPS_FACTOR, scale, step, cfg)
 
 
 def _descend(u, eps, factor, scale, step, cfg):
@@ -381,9 +425,12 @@ def _chain_sweep(
     Once a centre, a weight or an end of the derivative is not finite,
     every u_j is NaN.
     """
-    local = quadratic and len(levels) <= _LOCAL_LEVELS
-    messages = (_local_messages(levels, kinks, centres, weights) if local
-                else _array_messages(levels, kinks, centres, weights, quadratic))
+    if not (np.isfinite(centres).all() and np.isfinite(weights).all()):
+        messages = None
+    elif quadratic and len(levels) <= _LOCAL_LEVELS:
+        messages = _local_messages(levels, kinks, centres, weights)
+    else:
+        messages = _array_messages(levels, kinks, centres, weights, quadratic)
     if messages is None:  # the data or a message left the floats
         return np.full(len(centres), math.nan)
     crossings, root = messages
@@ -410,8 +457,8 @@ def _array_messages(levels, kinks, centres, weights, quadratic):
     """The forward pass of :func:`_chain_sweep` on the whole polyline at once.
 
     Returns the first crossings of every level per edge, as lists, and the
-    root of the last message's derivative, or None once a number leaves the
-    floats.
+    root of the last message's derivative, or None once an end of the
+    derivative leaves the floats.
     Each node's edge step is a fixed number of whole-array operations on
     the polyline, which grows by at most 2 m points per node.
     """
@@ -420,7 +467,7 @@ def _array_messages(levels, kinks, centres, weights, quadratic):
     crossings = []  # per node, the first crossing of every level
     x, lam, slope = centres[:1].copy(), np.zeros(1), 0.0  # M' = 0 before node 0
     for j, (cj, wj) in enumerate(zip(centres.tolist(), weights.tolist())):
-        if not all(map(math.isfinite, (cj, wj, lam[0], lam[-1]))):
+        if not (math.isfinite(lam[0]) and math.isfinite(lam[-1])):
             return None
         if j:
             # edge step: part b of the curve, between the crossings of levels
@@ -522,8 +569,6 @@ def _local_messages(levels, kinks, centres, weights):
     push(0, (float(centres[0]), 0.0), True)  # M' = 0 before node 0
     slope = 0.0
     for j, (cj, wj) in enumerate(zip(centres.tolist(), weights.tolist())):
-        if not (isfinite(cj) and isfinite(wj)):
-            return None
         if j:
             # the ends that crossed a level move to the band above it, then
             # to the band below it, one level at a time
@@ -625,45 +670,6 @@ def _level_crossings(
     tail = x[k1] + (levels - lam[k1]) / slope
     run = (x[k1] - x[k0]) / np.where(inner, rise, 1.0)
     return np.where(inner, x[k0] + (levels - lam[k0]) * run, tail)
-
-
-def _polished_report(
-    aniso, grid, g, p, u, iterations, converged, stagnation, method
-) -> SolveReport:
-    """The report of :func:`solve` for the iterate u, after the polish it describes."""
-    # Put back on the datum the nodes within _SNAP of it, then truncate to the
-    # datum's range (the maximum principle).  Each is kept unless it raises
-    # the exact energy beyond rounding, as truncation can cost energy under a
-    # gauge that is not mirror-symmetric.
-    def polished(profile, report, values):
-        if values.tobytes() == profile.values.tobytes():  # nothing to score
-            return profile, report
-        candidate = Profile(grid, values)
-        candidate_energy = energy(aniso, candidate, g, p)
-        if candidate_energy.total <= report.total * (1.0 + _ROUNDING):
-            return candidate, candidate_energy
-        return profile, report
-
-    scale = float(np.ptp(g)) + grid.length
-    profile = Profile(grid, u)
-    report_energy = energy(aniso, profile, g, p)
-    if not math.isfinite(report_energy.total):
-        raise SolverDivergenceError(iterations)
-    profile, report_energy = polished(
-        profile, report_energy, np.where(np.abs(u - g) <= _SNAP * scale, g, u))
-    profile, report_energy = polished(
-        profile, report_energy, np.clip(profile.values, g.min(), g.max()))
-    _, (n1, _, n2) = aniso.smoothed_dual(-np.diff(profile.values), grid.h, _EPS_FLOOR)
-    violation = float(np.max(aniso.eval_many(np.column_stack([n1, n2]))) - 1.0)
-    return SolveReport(
-        profile=profile,
-        energy=report_energy,
-        iterations=iterations,
-        converged=converged,
-        final_stagnation=float(stagnation),
-        dual_feasibility_max_violation=max(violation, 0.0),
-        method=method,
-    )
 
 
 def _smoothed_power(t: np.ndarray, p: float, eps: float):

@@ -343,6 +343,19 @@ def test_overflowing_chain_sweep_exits_three(tmp_path, capsys, anisotropy, p, a)
         anisotropy=anisotropy, p=p, g={"kind": "step", "a": a}, grid={"n": 16}))
 
 
+@pytest.mark.parametrize("anisotropy", [
+    {"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
+    Anisotropy.generic(math.hypot).to_json(),
+], ids=["square", "generic"])
+def test_overflowing_quadratic_chain_sweep_exits_three(tmp_path, capsys, anisotropy):
+    # one exact sweep at p = 2, whose derivative overflows at this height:
+    # the square takes the local forward pass, the generic gauge's 2049
+    # levels the whole-array one
+    _diverges_with_one_line(tmp_path, capsys, _problem_payload(
+        anisotropy=anisotropy, interval=[-1e10, 1e10], p=2.0, g={"kind": "step", "a": 1e300},
+        grid={"n": 8}))
+
+
 @pytest.mark.parametrize("anisotropy, p, a", [
     ({"kind": "euclidean"}, 1.0, 1e160),
     ({"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}, 5.0, 1e80),
@@ -360,6 +373,38 @@ def test_huge_euclidean_step_solves_with_an_empty_stderr(tmp_path):
     # which overflows at this height
     done = _solve_in_a_fresh_interpreter(tmp_path, _problem_payload(
         p=2.0, g={"kind": "step", "a": 1e110}, grid={"n": 16}))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+
+
+def _tiny_cells_payload(anisotropy, length, p):
+    return _problem_payload(anisotropy=anisotropy, interval=[0.0, length], p=p,
+                            g={"kind": "step", "a": 0.5}, grid={"n": 8})
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("length", [4e-323, 4e-320, 4e-310])
+@pytest.mark.parametrize("anisotropy", [
+    {"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
+    {"kind": "euclidean"},
+], ids=["square", "euclidean"])
+def test_subnormal_cells_exit_two_with_one_line(tmp_path, capsys, anisotropy, length, p):
+    # half a cell below the smallest normal float: the square's chain sweep
+    # divided by a weight rounded to 0, or read NaN, or ended 20% above the
+    # minimum with converged true
+    prob = _write_json(tmp_path / "prob.json", _tiny_cells_payload(anisotropy, length, p))
+    assert main(["solve", prob, "--out-dir", str(tmp_path / "out"), "--quiet"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cells of width ") and err.count("\n") == 1
+    assert "too short to solve on" in err
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("length", [4e-307, 4e-300])
+def test_chain_solve_on_small_normal_cells_has_an_empty_stderr(tmp_path, length, p):
+    # the chain's dual field is read off the envelope, so no log-sum-exp at a
+    # temperature of 1e-10 h overflows
+    square = {"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
+    done = _solve_in_a_fresh_interpreter(tmp_path, _tiny_cells_payload(square, length, p))
     assert (done.returncode, done.stderr) == (EXIT_OK, "")
 
 

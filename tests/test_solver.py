@@ -18,7 +18,8 @@ from anisocurve import (
     solve,
 )
 from anisocurve.energy import energy_totals, trapezoid_weights
-from anisocurve.solver import _lattice_minimum, _solve_chain, _solve_newton, _solve_path_laplacian
+from anisocurve.solver import (_lattice_minimum, _run, _solve_chain, _solve_newton,
+                               _solve_path_laplacian)
 from anisocurve import reference as ref
 from anisocurve import solver
 from pdhg_reference import _prox_fidelity_many, _solve_pdhg, prox_fidelity
@@ -474,7 +475,7 @@ def test_chain_energy_not_above_newton(gauge, p):
     aniso = GAUGES[gauge]
     for grid, g in _polygon_sweep_cases(np.random.default_rng([len(gauge), int(p)])):
         exact = solve(aniso, grid, g, p)
-        newton = _solve_newton(aniso, grid, g, p)
+        newton = _run(_solve_newton, aniso, grid, g, p, SolverConfig())
         assert newton.iterations > 1 and newton.converged
         assert exact.converged and exact.method == "chain"
         assert exact.energy.total <= newton.energy.total + 1e-9 * (1.0 + newton.energy.total)
@@ -527,14 +528,14 @@ def test_solve_routes_every_polygon_to_the_chain():
     grid = Grid(-1, 1, 40)
     g = GSpec.step(0.3).sample(grid)
     for p in (1.0, 2.0):
-        exact = _solve_chain(SQUARE, grid, g, p)
+        exact = _run(_solve_chain, SQUARE, grid, g, p, SolverConfig())
         # the step cap does not apply to the single exact sweep
         routed = solve(SQUARE, grid, g, p, SolverConfig(max_iters=1))
         np.testing.assert_array_equal(routed.profile.values, exact.profile.values)
         assert routed.converged and routed.method == "chain"
     for aniso in (SQUARE, GAUGES["lp1"]):
         routed = solve(aniso, grid, g, 1.5)
-        exact = _solve_chain(aniso, grid, g, 1.5)
+        exact = _run(_solve_chain, aniso, grid, g, 1.5, SolverConfig())
         np.testing.assert_array_equal(routed.profile.values, exact.profile.values)
         assert routed.method == "chain" and routed.iterations > 1
     for name in ("euclidean", "ellipse", "lp3"):
@@ -573,7 +574,7 @@ def test_chain_on_a_generic_gauge_not_above_newton(p):
     grid = Grid(-1, 1, 32)
     g = GSpec.step(0.3).sample(grid)
     exact = solve(aniso, grid, g, p)
-    newton = _solve_newton(aniso, grid, g, p)
+    newton = _run(_solve_newton, aniso, grid, g, p, SolverConfig())
     assert exact.method == "chain" and exact.converged
     assert exact.energy.total <= newton.energy.total + 1e-9 * (1.0 + newton.energy.total)
 
@@ -630,7 +631,7 @@ def test_chain_maximum_principle_under_the_hexagon():
     for grid, g, p in cases:
         rep = solve(HEXAGON, grid, g, p)
         u = rep.profile.values
-        newton = _solve_newton(HEXAGON, grid, g, p).profile.values
+        newton = _run(_solve_newton, HEXAGON, grid, g, p, SolverConfig()).profile.values
         excess = max(g.min() - u.min(), u.max() - g.max(), 0.0)
         newton_excess = max(g.min() - newton.min(), newton.max() - g.max(), 0.0)
         assert excess == pytest.approx(newton_excess, abs=1e-6)
