@@ -174,7 +174,10 @@ def _support(envelope: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _lp_norm(x: np.ndarray, y: np.ndarray, q: float) -> np.ndarray:
     """(|x|^q + |y|^q)^(1/q) as M (1 + (m / M)^q)^(1/q), with m <= M the two
-    magnitudes, so that no power underflows (at the huge q' of q near 1) or overflows."""
+    magnitudes, so that no power underflows (at the huge q' of q near 1) or overflows;
+    ``np.hypot`` at q = 2."""
+    if q == 2.0:
+        return np.hypot(x, y)
     ax, ay = np.abs(x), np.abs(y)
     big, small = np.maximum(ax, ay), np.minimum(ax, ay)
     ratio = np.divide(small, big, out=np.ones_like(big), where=small < big)
@@ -198,25 +201,25 @@ class Anisotropy:
     def __init__(self, kind: str, **params):
         self.kind = kind
         self._params = params
-        # the semi-axes of a quadratic-form gauge; the Euclidean gauge is the unit ellipse
-        self._axes: Optional[tuple[float, float]] = None
+        # a smooth gauge is phi(x, y) = |(x / a, y / b)|_q, stored as (a, b, q): Euclidean
+        # (1, 1, 2), ellipse (a, b, 2) and lp (1, 1, q); a polygon has no triple
+        self._abq: Optional[tuple[float, float, float]] = None
         # a polygon's envelopes of the lines of its vertices (phi°) and polar vertices (phi)
         self.dual_envelope: Optional[tuple] = None
         self._gauge_envelope: Optional[tuple] = None
-        # phi°(r, h) is twice differentiable in r with bounded curvature (h > 0)
-        self.smooth_dual = kind in ("euclidean", "ellipse") or (kind == "lp" and params["q"] < 2.0)
-        if kind in ("euclidean", "ellipse"):
-            self._axes = (1.0, 1.0) if kind == "euclidean" else (params["a"], params["b"])
-            if not all(0.0 < d < math.inf and 1.0 / d < math.inf for d in self._axes):
+        if kind in ("euclidean", "ellipse", "lp"):
+            a, b, q = self._abq = params.get("a", 1.0), params.get("b", 1.0), params.get("q", 2.0)
+            if not all(0.0 < d < math.inf and 1.0 / d < math.inf for d in (a, b)):
                 raise AnisotropyError("ellipse semi-axes and their reciprocals must be finite "
                                       "and positive")
-        elif kind == "lp":
-            if not 1.0 < params["q"] < math.inf:
-                raise AnisotropyError(f"lp exponent must be finite with q >= 1, got {params['q']}")
+            if not 1.0 < q < math.inf:
+                raise AnisotropyError(f"lp exponent must be finite with q >= 1, got {q}")
         elif kind == "polygon":
             self._init_polygon(params["vertices"])
         else:
             raise AnisotropyError(f"unknown anisotropy kind {kind!r}")
+        # phi°(r, h) is twice differentiable in r with bounded curvature (h > 0)
+        self.smooth_dual = bool(self._abq) and self._abq[2] <= 2.0
 
     # -- construction ------------------------------------------------
 
@@ -318,11 +321,9 @@ class Anisotropy:
         """phi on an (n, 2) array of vectors."""
         v = np.asarray(v, dtype=float)
         x, y = v[..., 0], v[..., 1]
-        if self._axes:
-            a, b = self._axes
-            return np.hypot(x / a, y / b)
-        if self.kind == "lp":
-            return _lp_norm(x, y, self._params["q"])
+        if self._abq:
+            a, b, q = self._abq
+            return _lp_norm(x / a, y / b, q)
         return _support(self._gauge_envelope, x, y)
 
     def eval(self, v) -> float:
@@ -333,12 +334,9 @@ class Anisotropy:
         """phi°, the support function of the Wulff shape, on (n, 2) vectors."""
         v = np.asarray(v, dtype=float)
         x, y = v[..., 0], v[..., 1]
-        if self._axes:
-            a, b = self._axes
-            return np.hypot(x * a, y * b)
-        if self.kind == "lp":
-            q = self._params["q"]
-            return _lp_norm(x, y, q / (q - 1.0))
+        if self._abq:
+            a, b, q = self._abq
+            return _lp_norm(a * x, b * y, q / (q - 1.0))
         return _support(self.dual_envelope, x, y)
 
     def eval_dual(self, v) -> float:
@@ -350,31 +348,33 @@ class Anisotropy:
         ``h > 0`` is a scalar and ``eps`` a smoothing width relative to h, so
         phi°_eps stays one-homogeneous in (r, h).  Three formulas:
 
-        - ellipse(a, b), which includes the Euclidean gauge a = b = 1: the
-          quadratic form sqrt(a^2 r^2 + b^2 h^2); it is smooth already and
-          ignores eps;
-        - lp(q): (|r|^q' + h^q')^(1/q') with q' = q / (q - 1) and |r|^q'
-          replaced by (r^2 + (eps h)^2)^(q'/2), which bounds the curvature at
-          r = 0 for q > 2; it adds at most eps h;
+        - q = 2, the ellipse (a, b) and the Euclidean gauge a = b = 1: the
+          quadratic form s = hypot(a r, b h), its derivatives formed from the
+          ratios a r / s and b h / s, so that no semi-axis or h is squared
+          alone; it is smooth already and ignores eps;
+        - lp(q), whose semi-axes are 1: (|r|^q' + h^q')^(1/q') with
+          q' = q / (q - 1) and |r|^q' replaced by (r^2 + (eps h)^2)^(q'/2),
+          which bounds the curvature at r = 0 for q > 2; it adds at most eps h;
         - polygon: a log-sum-exp of the m lines r s_j + h c_j of
           ``dual_envelope`` at temperature eps h, taken about the line on
           top, which the bisection of phi° finds; it adds at most eps h log m.
 
         Each is an upper bound of phi° that is exact as eps -> 0, and the
         gradient (d/dr, d/dh) lies in the Wulff shape.  ``smooth_dual`` is
-        true where phi° needs no smoothing: the quadratic forms and lp(q)
-        with q < 2, whose |r|^q' has q' > 2.  ``next(aniso.smoothed_dual(...))``
-        reads the value alone and does none of the derivatives' work.
+        true where phi° needs no smoothing: q <= 2, whose |r|^q' has q' >= 2.
+        ``next(aniso.smoothed_dual(...))`` reads the value alone and does none
+        of the derivatives' work.
         """
         r = np.asarray(r, dtype=float)
-        if self._axes:
-            a2, b2 = self._axes[0] * self._axes[0], self._axes[1] * self._axes[1]
-            s = np.sqrt(a2 * r * r + b2 * h * h)
+        if self._abq and self._abq[2] == 2.0:
+            a, b, _ = self._abq
+            ar = a * r
+            s = np.hypot(ar, b * h)
+            c = b * h / s
             yield s
-            yield a2 * r / s, a2 * (b2 * h / s) * (h / s) / s, b2 * h / s
-        elif self.kind == "lp":
-            q = self._params["q"]
-            qd = q / (q - 1.0)
+            yield a * (ar / s), (a * c) ** 2 / s, b * c
+        elif self._abq:
+            qd = self._abq[2] / (self._abq[2] - 1.0)
             # the lp(q') norm of (a, h), a = sqrt(r^2 + delta^2), in units of max(a, h)
             a = np.hypot(r, eps * h)
             m = np.maximum(a, h)
@@ -447,17 +447,16 @@ class Anisotropy:
     def wulff_measures(self) -> WulffMeasures:
         """|W|, P_phi(W), c_phi and alpha0 of the Wulff shape, in closed form.
 
-        |W| is pi a b for a quadratic form, 4 Gamma(1 + 1/q)^2 / Gamma(1 + 2/q)
-        for lp(q) and the shoelace sum over the vertices for a polygon.  On
+        |W| is a b times pi at q = 2 and times 4 Gamma(1 + 1/q)^2 / Gamma(1 + 2/q)
+        otherwise, and the shoelace sum over the vertices for a polygon.  On
         the boundary phi°(nu) = <x, nu>, so the divergence theorem gives
         P_phi(W) = 2 |W| for every gauge; then c_phi = 2 sqrt|W| and
         alpha0 = 2 sqrt|W| / (4 |W| + 1).
         """
-        if self._axes:
-            area = math.pi * self._axes[0] * self._axes[1]
-        elif self.kind == "lp":
-            q = self._params["q"]
-            area = 4.0 * math.gamma(1.0 + 1.0 / q) ** 2 / math.gamma(1.0 + 2.0 / q)
+        if self._abq:
+            a, b, q = self._abq
+            area = (math.pi if q == 2.0 else 4.0 * math.gamma(1.0 + 1.0 / q) ** 2
+                    / math.gamma(1.0 + 2.0 / q)) * a * b
         else:
             area = self._poly_area
         if not 0.0 < area < math.inf:
@@ -470,11 +469,10 @@ class Anisotropy:
         monotone iff its vertices mirrored in the y axis (the x-axis mirror is their
         negation) lie in W, phi <= 1 + 1e-9: a reflection that maps a convex body
         into itself maps it onto itself, and phi is 1 at a vertex of any size."""
-        if self._axes:
-            a, b = self._axes
-            return SymmetryFlags(True, False, True, min(a * a / b, b * b / a))
-        if self.kind == "lp":
-            return SymmetryFlags(True, False, False, 0.0)
+        if self._abq:
+            a, b, q = self._abq
+            radius = min(a * a / b, b * b / a) if q == 2.0 else 0.0
+            return SymmetryFlags(True, False, q == 2.0, radius)
         pm = bool(np.all(self.eval_many(self.vertices * [-1.0, 1.0]) <= 1.0 + 1e-9))
         return SymmetryFlags(pm, self._vertical_facets, False, 0.0)
 
@@ -519,16 +517,14 @@ class Anisotropy:
         """Boundary point with outward normal nu (face midpoint for facets)."""
         nu = _as_vec(nu)
         nu = nu / np.hypot(nu[0], nu[1])
-        if self._axes:
-            a, b = self._axes
-            p = np.array([a * a * nu[0], b * b * nu[1]])
-            return p / self.eval_dual(nu)
-        if self.kind == "lp":
-            q = self._params["q"]
+        if self._abq:
+            axes, q = np.array(self._abq[:2]), self._abq[2]
             qd = q / (q - 1.0)
-            # grad phi°(nu) in units of max|nu_i|, so that no power of q' underflows
-            ratio = np.abs(nu) / np.abs(nu).max()
-            return np.sign(nu) * ratio ** (qd - 1.0) * np.sum(ratio**qd) ** (-1.0 / q)
+            # grad phi°(nu) is (a, b) times the lp(q') gradient at z = (a nu_1, b nu_2), taken
+            # in units of max|z_i| so that no power of q' underflows and no axis is squared
+            z = np.abs(axes * nu)
+            ratio = z / z.max()
+            return axes * np.sign(nu) * ratio ** (qd - 1.0) * np.sum(ratio**qd) ** (-1.0 / q)
         arc = self.exposed_face(nu)
         return 0.5 * (arc.endpoints[0] + arc.endpoints[1])
 

@@ -65,7 +65,6 @@ NaN; a NaN step or sweep, or an infinite energy, raises
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import deque
@@ -410,7 +409,7 @@ def _chain_sweep(
     sigma_i and sigma_{i+1} (band i) moves along x by tau_i, flat pieces at
     the levels join the bands, and the curve is clipped to
     [sigma_1, sigma_m].  The first crossing X_i of every level is kept per
-    node, and the backward pass reads u_j from u_{j+1} by a bisection over
+    node, and the backward pass reads u_j from u_{j+1} in one loop over
     the levels:
 
         u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})).
@@ -434,22 +433,11 @@ def _chain_sweep(
     if messages is None:  # the data or a message left the floats
         return np.full(len(centres), math.nan)
     crossings, root = messages
-    # backward pass: in u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})) the
-    # first argument of min falls with i and the second rises, so the inner
-    # max sits where X_{i+1} + tau_i crosses u_{j+1}; two places either side
-    # of that crossing also cover rounding
     u = [root]
     kink_list = kinks.tolist()
     for row in reversed(crossings):
         y = u[-1]
-        meets = [x + kink for x, kink in zip(row[1:], kink_list)]
-        k = bisect.bisect_left(meets, y)
-        best = row[0]
-        for i in range(max(k - 2, 0), min(k + 2, len(meets))):
-            candidate = min(y - kink_list[i], row[i + 1])
-            if candidate > best:
-                best = candidate
-        u.append(best)
+        u.append(max([row[0], *(min(y - kink, x) for kink, x in zip(kink_list, row[1:]))]))
     return np.array(u[::-1])
 
 

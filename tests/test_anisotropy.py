@@ -250,6 +250,20 @@ def test_normal_contact_point_lp_is_the_support_point():
         assert abs(float(p @ nu) - aniso.eval_dual(nu)) <= 1e-14
 
 
+@pytest.mark.parametrize("aniso", [
+    Anisotropy.euclidean(), Anisotropy.ellipse(2.0, 0.5), Anisotropy.ellipse(1e-200, 1e200),
+    Anisotropy.lp(1.5), Anisotropy.lp(3.0),
+], ids=["euclidean", "ellipse", "extreme-ellipse", "lp1.5", "lp3"])
+def test_contact_point_is_the_gradient_of_the_dual_gauge(aniso):
+    # grad phi°(nu) by central differences; the extreme ellipse's b^2 = 1e400 is not a float
+    steps = 1e-6 * np.eye(2)
+    for nu in _random_directions(np.random.default_rng(26), 64):
+        point = aniso.normal_contact_point(nu)
+        assert np.isfinite(point).all()
+        grad = (aniso.eval_dual_many(nu + steps) - aniso.eval_dual_many(nu - steps)) / 2e-6
+        assert np.abs(point - grad).max() <= 1e-8 * np.abs(point).max()
+
+
 def test_normal_contact_point_square_face_wrapping_index_zero():
     square = Anisotropy.polygon(SQUARE)
     # the edge from vertex 3 to vertex 0 straddles the arc-length origin
@@ -721,7 +735,7 @@ def test_the_euclidean_gauge_is_the_unit_ellipse_bitwise(aniso):
     assert np.array_equal(aniso.eval_many(v), np.hypot(x, y))
     assert np.array_equal(aniso.eval_dual_many(v), np.hypot(x, y))
     r, h = np.append(x[:4096], 0.0), 0.01
-    s = np.sqrt(r * r + h * h)
+    s = np.hypot(r, h)
     value, (d1, d2, dh) = aniso.smoothed_dual(r, h, 1e-3)
     for got, closed_form in zip((value, d1, d2, dh), (s, r / s, (h / s) * (h / s) / s, h / s)):
         assert np.array_equal(got, closed_form)
