@@ -236,17 +236,19 @@ def truncate(u: Profile, lo: float, hi: float) -> Profile:
 # -- two-column CSV round-trip (17 significant digits, "\n" endings) ----
 
 
-_CSV_BLOCK_ROWS = 8192  # rows formatted by one % call: bounds the text held at once
+# rows formatted at once by the CSV and SVG writers: bounds the formatter's
+# temporaries and the text held at once
+_CSV_BLOCK_ROWS = 4096
 
 
 def write_two_column_csv(path, header: str, first: np.ndarray, second: np.ndarray) -> None:
-    """A header line, then one "a,b" row per pair, each number in 17 digits."""
+    """A header line, then one "a,b" row per pair, each number as "%.17g": at
+    most 17 significant digits, trailing zeros dropped, read back exactly."""
     rows = np.column_stack([first, second])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(rows[start:start + _CSV_BLOCK_ROWS], "%.17g", ",", "\n"))
 
 
 def write_profile_csv(u: Profile, path) -> None:
@@ -286,3 +288,101 @@ def _read_two_column_csv(path, value_name: str) -> tuple[np.ndarray, np.ndarray]
     if not np.isfinite(data).all():
         raise IngestionError(f"non-finite data in {path}")
     return data[:, 0], data[:, 1]
+
+
+# Exact vectorized "%.17g" and "%.3f".  |x| rounds to D * 10**-s with
+# D = round-half-even(|x| * 10**s), computed exactly from Dekker's error-free
+# product; D's integer part and its s-digit fraction are written 4 digits at
+# a time from a table, and a 0 byte marks an absent character.
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact doubles
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+_FIRST_AT = np.array([float(f"1e{k}") for k in range(-4, 18)])  # least x with exponent k
+_CHARS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))  # 0000 .. 9999
+_SEEN = np.logical_or.accumulate(_CHARS > ord("0"), axis=1)  # from the first nonzero digit on
+_KEPT = [np.ones_like(_SEEN), _SEEN, _SEEN | (np.arange(4) == 3),  # all, no leading zeros, but 0
+         np.logical_or.accumulate(_CHARS[:, ::-1] > ord("0"), axis=1)[:, ::-1]]  # no trailing zeros
+_QUADS = np.ascontiguousarray(np.stack(_KEPT) * _CHARS).view(np.uint32).ravel()
+_LEAD, _LEAD0, _TRIM = 10000, 20000, 30000  # offsets of the variants in _QUADS
+# row s keeps the last s of 24 characters
+_LAST = (np.uint8(255) * (np.arange(24) >= 24 - np.arange(21)[:, None])).view(np.uint32)
+
+
+def _split(a):
+    """Dekker's split: a == hi + lo exactly, each half with at most 26 bits."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _round_scaled(a: np.ndarray, s) -> np.ndarray:
+    """round-half-even(a * 10**s) as exact int64, for a >= 0, 0 <= s <= 20 and
+    a * 10**s below 2**52 or in [2**53, 2**62)."""
+    a_hi, a_lo = _split(a)
+    c_hi, c_lo = np.take(_POW10_HI, s), np.take(_POW10_LO, s)
+    p = a * np.take(_POW10, s)
+    e = ((a_hi * c_hi - p) + a_hi * c_lo + a_lo * c_hi) + a_lo * c_lo  # a * 10**s == p + e
+    # below 2**52 |e| < 1/4, so only a half-way p is moved by e; from 2**53 on
+    # p is even, so rint breaks a half-way e to even
+    q = np.rint(p)
+    d = q.astype(np.int64) + np.rint(e).astype(np.int64)
+    d += (p - q == 0.5) & (e > 0)
+    d -= (p - q == -0.5) & (e < 0)
+    return d
+
+
+def _put_quads(out: np.ndarray, v: np.ndarray, lead: bool, trim: bool) -> None:
+    """Write v's last digits into out's uint32 columns, 4 characters to one, with
+    leading zeros but a last 0 dropped (lead) or trailing zeros dropped (trim)."""
+    below = True  # every group right of this one is 0
+    for j in range(out.shape[1]):
+        above = v // 10000
+        q = v - above * 10000
+        variant = (above == 0) * (_LEAD0 if j == 0 else _LEAD) if lead else below * _TRIM * trim
+        out[:, -1 - j] = np.take(_QUADS, q + variant)
+        below = below & (q == 0)
+        v = above
+
+
+def _format_rows(rows: np.ndarray, spec: str, sep: str, end: str) -> bytes:
+    """Bytes of (spec + sep + spec + end) % row for each row of an (n, 2) array,
+    spec "%.17g" or "%.3f".  Runs of rows with a number out of the exact range
+    go through %: non-finite numbers, for %g those written with an exponent
+    (nonzero below 1e-4 or from 1e17 on), and for %f those from 1e12 on."""
+    g, x, fmt = spec == "%.17g", np.ravel(rows), spec + sep + spec + end
+    a = np.abs(np.where(np.isnan(x), np.inf, x))
+    ok = (a < 1e17) & ((a >= 1e-4) | (a == 0.0)) if g else a < 1e12
+    guard = ~(ok[0::2] & ok[1::2])
+    if guard.all():  # e.g. a profile of magnitude below 1e-4
+        return (fmt * len(rows) % tuple(x.tolist())).encode()
+    a = np.where(ok, a, 0.0)
+    # |x| rounds to i + f * 10**-s, f < 10**s: s = 16 - E for %g, E the exponent
+    s = 21 - np.maximum(np.searchsorted(_FIRST_AT, a, side="right"), 1) if g else 3
+    d = _round_scaled(a, s)
+    unit = np.take(_POW10_INT, np.minimum(s, 17))  # d < 10**17
+    i = d // unit
+    f = d - i * unit
+    del a, d, unit
+    # per number: the integer part, its first character left for the sign;
+    # the fraction, the character before its s digits left for the point; sep or end
+    int_end = -(-(len(str(int(i.max()))) + 1) // 4)
+    frac_end = int_end - (-(int(np.max(s)) + 1) // 4)
+    words = np.empty((len(rows), 2, frac_end + 1), np.uint32)
+    words[:, :, -1] = np.frombuffer((sep.ljust(4, "\0") + end.ljust(4, "\0")).encode(), np.uint32)
+    words = words.reshape(len(x), -1)
+    _put_quads(words[:, :int_end], i, True, False)
+    _put_quads(words[:, int_end:frac_end], f, False, g)
+    words[:, int_end:frac_end] &= np.take(_LAST[:, int_end - frac_end:], s, axis=0)
+    chars = words.view(np.uint8)
+    chars[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    chars[:, 4 * int_end] = np.where((f != 0) | (not g), ord("."), 0)
+    del s, i, f  # a block's arrays are freed before its text is copied
+    text, pieces, start = words.reshape(len(rows), -1), [], 0
+    for lo, hi in np.flatnonzero(np.diff(guard, prepend=False, append=False)).reshape(-1, 2):
+        pieces += [text[start:lo].tobytes().translate(None, b"\0"),
+                   (fmt * (hi - lo) % tuple(rows[lo:hi].ravel().tolist())).encode()]
+        start = hi
+    pieces.append(text[start:].tobytes().translate(None, b"\0"))
+    return b"".join(pieces)

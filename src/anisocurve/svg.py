@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .energy import _CSV_BLOCK_ROWS, _format_rows
+
 __all__ = ["render_polylines"]
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
@@ -33,7 +35,9 @@ def render_polylines(curves: list, labels: list | None = None) -> str:
     ]
     for k, curve in enumerate(curves):
         xy = to_px(np.asarray(curve, dtype=float))
-        d = "M " + " L ".join(["%.3f %.3f"] * len(xy)) % tuple(xy.ravel().tolist())
+        blocks = [_format_rows(xy[i:i + _CSV_BLOCK_ROWS], "%.3f", " ", " L ")
+                  for i in range(0, len(xy), _CSV_BLOCK_ROWS)]
+        d = "M " + b"".join(blocks).decode()[:-3]
         color = _COLORS[k % len(_COLORS)]
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if labels and k < len(labels):

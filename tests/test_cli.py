@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from anisocurve import (Anisotropy, GSpec, Grid, Profile, RasterSet, SolverDivergenceError, energy,
                         sigma_threshold, write_raster)
+from anisocurve.anisotropy import anisotropy_from_json
 from anisocurve.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, _Run, main
 
 
@@ -209,6 +211,55 @@ def test_rearrange_command(tmp_path):
     assert heights == [2.0, 2.0, 1.0, 1.0]
     assert (out / "rearranged.raster").exists()
     assert set(_manifest(out)["wall_time_s"]) == {"rearrange", "emit"}
+
+
+def _percent_csv_values(path):
+    """The rows of a two-column CSV, checked to be "%.17g" of their own values."""
+    body = path.read_text().split("\n", 1)[1]
+    pairs = [tuple(map(float, line.split(","))) for line in body.splitlines()]
+    assert body == "".join("%.17g,%.17g\n" % pair for pair in pairs)
+    return np.array(pairs)
+
+
+def _assert_paths_are_percent_3f(path):
+    paths = re.findall(r'<path d="M ([^"]*)"', path.read_text())
+    assert paths
+    for d in paths:
+        points = [tuple(map(float, point.split())) for point in d.split(" L ")]
+        assert d == " L ".join("%.3f %.3f" % point for point in points)
+
+
+@pytest.mark.parametrize("anisotropy", [
+    {"kind": "lp", "q": 2.7},
+    {"kind": "ellipse", "a": 2.0, "b": 0.5},
+    {"kind": "polygon", "vertices": _regular_polygon(6, 0.3, 1.0)},
+], ids=["lp", "ellipse", "rotated-hexagon"])
+def test_wulff_artifacts_hold_percent_formatted_numbers(tmp_path, anisotropy):
+    aniso = _write_json(tmp_path / "aniso.json", anisotropy)
+    out = tmp_path / "out"
+    argv = ["wulff", aniso, "--samples", "65536", "--svg", "--out-dir", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    points = _percent_csv_values(out / "wulff_boundary.csv")
+    np.testing.assert_array_equal(points, anisotropy_from_json(anisotropy).wulff_sample(65536))
+    assert np.any((np.abs(points) < 1e-4) & (points != 0.0))  # written with an exponent
+    _assert_paths_are_percent_3f(out / "wulff.svg")
+
+
+def test_solve_and_rearrange_artifacts_hold_percent_formatted_numbers(tmp_path):
+    readme_problem = _problem_payload(grid={"n": 1024})
+    del readme_problem["solver"]
+    prob = _write_json(tmp_path / "prob.json", readme_problem)
+    out = tmp_path / "solve"
+    assert main(["solve", prob, "--svg", "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    profile = _percent_csv_values(out / "profile.csv")
+    assert profile[512].tolist() == [0.0, 0.0]
+    _assert_paths_are_percent_3f(out / "solve.svg")
+    raster = tmp_path / "set.raster"
+    raster.write_text('{"box": [0, 1, 0, 1], "nx": 4, "ny": 3}\n0 1 1 0\n1 1 1 1\n0 1 0 0\n')
+    out = tmp_path / "rearr"
+    assert main(["rearrange", str(raster), "--out-dir", str(out), "--quiet"]) == EXIT_OK
+    heights = _percent_csv_values(out / "rearranged_profile.csv")[:, 1]
+    assert heights.tolist() == pytest.approx([1 / 3, 1.0, 2 / 3, 1 / 3])
 
 
 def test_input_errors_exit_two(tmp_path, euclid_json):

@@ -1,6 +1,7 @@
 """Discrete energy, datum sampling, truncation and profile I/O tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from anisocurve import (
     truncate,
     write_profile_csv,
 )
-from anisocurve.energy import IngestionError, energy_totals, write_two_column_csv
+from anisocurve.energy import (_FIRST_AT, IngestionError, _format_rows, energy_totals,
+                               write_two_column_csv)
 from anisocurve import reference as ref
 
 EUCLID = Anisotropy.euclidean()
@@ -254,6 +256,61 @@ def test_two_column_csv_matches_per_row_formatting(tmp_path, rows):
     path = tmp_path / "pairs.csv"
     write_two_column_csv(path, "x,y", first, second)
     rows_text = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first.tolist(), second.tolist()))
+    assert path.read_bytes() == ("x,y\n" + rows_text).encode()
+
+
+# exact ties at the last digit kept, carries to the next power of ten, the
+# %g exponent switch and the least number of each exponent with its
+# neighbours, signed zeros, subnormals and the other specials
+_THRESHOLDS = np.concatenate([[1e-4, 1e17], _FIRST_AT])
+FORMAT_EDGES = np.concatenate([
+    [1234567890123456.75, 10.0625, 10.1875, 0.0625, 0.5, 2.5, 0.0005, 0.0015, 999.9995,
+     9999999.9995, 9.9999999999999999e-5, 99999999999999999.0, 99999999999999984.0, 1e12,
+     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     math.inf, -math.inf, math.nan],
+    _THRESHOLDS, np.nextafter(_THRESHOLDS, 0.0), np.nextafter(_THRESHOLDS, math.inf),
+])
+
+
+def _format_values(rng, n):
+    """Edge values and their negatives among uniform, log-spaced, dyadic and
+    short decimal values and exact ties of either format, shuffled."""
+    values = np.concatenate([
+        FORMAT_EDGES, -FORMAT_EDGES,
+        rng.uniform(-700.0, 700.0, n),
+        10.0 ** rng.uniform(-6.0, 19.0, n),
+        rng.integers(-2**52, 2**52, n) / 2.0 ** rng.integers(0, 70, n),
+        rng.integers(0, 10**12, n) / 10.0 ** rng.integers(0, 20, n),
+        (2 * rng.integers(0, 2**20, n) + 1) / 16.0,  # x * 1000 is half an odd integer
+        (2 * rng.integers(2**51, 2**52, n) + 1) / 4.0,  # so is x * 10, with 17 digits before
+    ])
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("spec, sep, end", [("%.17g", ",", "\n"), ("%.3f", " ", " L ")])
+def test_formatter_writes_the_bytes_of_percent(spec, sep, end):
+    rng = np.random.default_rng(7)
+    values = _format_values(rng, 20000)
+    # runs of numbers out of the exact range at both ends and inside
+    values = np.concatenate([[math.nan, 1e-300, 1e300], values, [-math.inf]])
+    rows = values[:len(values) // 2 * 2].reshape(-1, 2)
+    fmt = spec + sep + spec + end
+    for block in (rows, rows[:2]):  # no row of rows[:2] is in the exact range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = _format_rows(block, spec, sep, end)
+        assert text == "".join(fmt % (a, b) for a, b in block.tolist()).encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16385])
+def test_two_column_csv_matches_per_row_formatting_at_the_edges(tmp_path, rows):
+    values = np.resize(_format_values(np.random.default_rng(rows), 4000), 2 * rows)
+    path = tmp_path / "pairs.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_two_column_csv(path, "x,y", values[0::2], values[1::2])
+    rows_text = "".join("%.17g,%.17g\n" % tuple(pair) for pair in values.reshape(-1, 2).tolist())
     assert path.read_bytes() == ("x,y\n" + rows_text).encode()
 
 
