@@ -30,6 +30,7 @@ __all__ = [
 
 DEFAULT_FACE_SAMPLES = 8192
 GENERIC_SAMPLES = 4096
+FACE_BLOCK_PAIRS = 2**16  # normal-point pairs per block of face masks
 
 _DIAMOND = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
 
@@ -98,6 +99,14 @@ def _as_vec(v) -> np.ndarray:
     if v.shape != (2,):
         raise AnisotropyError(f"expected a 2-vector, got shape {v.shape}")
     return v
+
+
+def _as_normals(nu) -> np.ndarray:
+    """nu as one normal, shape (2,), or a stack of them, shape (k, 2)."""
+    nu = np.asarray(nu, dtype=float)
+    if nu.ndim not in (1, 2) or nu.shape[-1] != 2:
+        raise AnisotropyError(f"expected a 2-vector or a (k, 2) array, got shape {nu.shape}")
+    return nu
 
 
 def finite_number(value, name: str) -> float:
@@ -483,10 +492,15 @@ class Anisotropy:
         the tolerance (2e-7 times the largest |point|) of the polyline's own
         largest <x, nu>.  It evaluates no phi° and is never empty; on a polygon,
         whose polyline is its vertices, that largest value is phi°(nu) up to rounding.
+
+        nu is one normal, shape (2,), or k normals, shape (k, 2), with one mask
+        per row; each row is the mask of its normal alone, bit for bit.
         """
         pts, _, _, tol = self._face_polyline
-        dots = pts @ np.asarray(nu, dtype=float)
-        return dots >= dots.max() - tol
+        # one matrix-vector product per normal: a (k, 2) x (2, m) product may
+        # round differently
+        dots = np.matmul(pts, _as_normals(nu)[..., None])[..., 0]
+        return dots >= dots.max(axis=-1, keepdims=True) - tol
 
     def exposed_face(self, nu) -> BoundaryArc:
         """The boundary arc of :meth:`face_mask` (the exposed face of unit nu).
@@ -514,19 +528,38 @@ class Anisotropy:
                            endpoints=pts[[lo, hi]], midpoint=pts[run[len(run) // 2]])
 
     def normal_contact_point(self, nu) -> np.ndarray:
-        """Boundary point with outward normal nu (face midpoint for facets)."""
-        nu = _as_vec(nu)
-        nu = nu / np.hypot(nu[0], nu[1])
+        """Boundary point with outward normal nu (face midpoint for facets).
+
+        nu is one normal, shape (2,), or k normals, shape (k, 2), with one point
+        per row.  A polygon's faces are read FACE_BLOCK_PAIRS normal-vertex
+        pairs at a time.
+        """
+        nu = _as_normals(nu)
+        with np.errstate(invalid="ignore"):
+            nu = nu / np.hypot(nu[..., 0], nu[..., 1])[..., None]
+        if not np.isfinite(nu).all():
+            raise AnisotropyError("normal_contact_point needs finite nonzero normals")
         if self._abq:
             axes, q = np.array(self._abq[:2]), self._abq[2]
             qd = q / (q - 1.0)
             # grad phi°(nu) is (a, b) times the lp(q') gradient at z = (a nu_1, b nu_2), taken
             # in units of max|z_i| so that no power of q' underflows and no axis is squared
             z = np.abs(axes * nu)
-            ratio = z / z.max()
-            return axes * np.sign(nu) * ratio ** (qd - 1.0) * np.sum(ratio**qd) ** (-1.0 / q)
-        arc = self.exposed_face(nu)
-        return 0.5 * (arc.endpoints[0] + arc.endpoints[1])
+            ratio = z / z.max(axis=-1, keepdims=True)
+            return (axes * np.sign(nu) * ratio ** (qd - 1.0)
+                    * np.sum(ratio**qd, axis=-1, keepdims=True) ** (-1.0 / q))
+        pts = self._face_polyline[0]
+        rows = nu.reshape(-1, 2)
+        step = max(1, FACE_BLOCK_PAIRS // len(pts))
+        points = []
+        for start in range(0, len(rows), step):
+            # a face is one run of points, which starts after an excluded point
+            # and ends before one, also where it wraps through the first point
+            mask = self.face_mask(rows[start:start + step])
+            first = (mask & ~np.roll(mask, 1, axis=1)).argmax(axis=1)
+            last = (mask & ~np.roll(mask, -1, axis=1)).argmax(axis=1)
+            points.append(0.5 * (pts[first] + pts[last]))
+        return np.concatenate(points).reshape(nu.shape)
 
     # -- Euclidean projection onto the Wulff shape --------------------
 

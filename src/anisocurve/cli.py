@@ -14,6 +14,7 @@ error; the warnings a command raises reach stderr only if it completes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -234,7 +235,11 @@ def cmd_rearrange(args) -> None:
     run.finish()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no function:
+    ``main`` looks ``cmd_<command>`` up in this module on every call, so a
+    rebound ``cmd_*`` name (a wrapper, a test double) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="anisocurve",
         description="anisotropic prescribed-curvature profiles: solve, analyze, verify",
@@ -251,20 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=65536)
     p.add_argument("--svg", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_wulff)
 
     p = sub.add_parser("threshold", help="smallness threshold report")
     p.add_argument("anisotropy")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--length", type=float, required=True)
     common(p)
-    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("solve", help="minimize the energy for a problem JSON")
     p.add_argument("problem")
     p.add_argument("--svg", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("diagnose", help="regularity diagnostics for a problem JSON")
     p.add_argument("problem")
@@ -272,18 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--svg", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("classify", help="Cahn-Hoffman local-minimality test")
     p.add_argument("profile", help="profile CSV (s,u)")
     p.add_argument("anisotropy")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("rearrange", help="vertical rearrangement of a raster set")
     p.add_argument("raster")
     common(p)
-    p.set_defaults(func=cmd_rearrange)
 
     return parser
 
@@ -294,7 +293,7 @@ def main(argv=None) -> int:
     # a failed command's one stderr line is its error: its warnings are dropped
     with warnings.catch_warnings(record=True) as caught:
         try:
-            args.func(args)
+            globals()[f"cmd_{args.command}"](args)
         except SolverDivergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIVERGED

@@ -136,15 +136,38 @@ def read_raster(path) -> RasterSet:
     x_min, x_max, y_min, y_max = (finite_number(v, "raster box bound") for v in box)
     if len(lines) - 1 != ny:
         raise ValueError(f"{path}: expected {ny} grid rows, found {len(lines) - 1}")
-    digits = []
-    for k, line in enumerate(lines[1:]):
+    # one pass over the whole body: it holds only the digits 0 and 1 and blanks,
+    # no two digits touch, and nx digits precede the first row break, 2 nx the
+    # second, and so on; then each digit is a cell.  In UTF-8 the bytes of a
+    # character past ASCII are all above 127, so the bytes below 128 are the
+    # ASCII characters and those above spell the others.
+    body = "\n".join(lines[1:])
+    text = np.frombuffer(body.encode(), dtype=np.uint8)
+    digit = (text == ord("0")) | (text == ord("1"))
+    wide = text >= 128
+    blank = ((text >= 9) & (text <= 13)) | ((text >= 28) & (text <= 32))  # ASCII whitespace
+    cells = np.flatnonzero(digit)
+    breaks = np.flatnonzero(text == ord("\n"))
+    fits = ((digit | blank | wide).all()
+            and (not wide.any() or text[wide].tobytes().decode().isspace())
+            and not (digit[1:] & digit[:-1]).any()
+            and len(cells) == nx * ny
+            and (cells.searchsorted(breaks) == nx * np.arange(1, ny)).all())
+    if not fits:
+        _reject_rows(path, lines[1:], nx)
+    # file row k, counted from the top, is grid row ny - 1 - k
+    grid = text[cells].reshape(ny, nx)
+    return RasterSet(x_min, x_max, y_min, y_max, (grid == ord("1"))[::-1].T)
+
+
+def _reject_rows(path: Path, rows: list, nx: int) -> None:
+    """ValueError naming the first row with a cell count other than nx or a
+    cell other than 0 or 1, and that cell."""
+    for k, line in enumerate(rows):
         row = line.split()
         if len(row) != nx:
             raise ValueError(f"{path}: row {k} has {len(row)} entries, expected {nx}")
         if not _CELLS.issuperset(row):
             bad = next(tok for tok in row if tok not in _CELLS)
             raise ValueError(f"{path}: row {k} has cell {bad!r}, expected 0 or 1")
-        digits.append("".join(row))
-    # file row k, counted from the top, is grid row ny - 1 - k
-    grid = np.frombuffer("".join(digits).encode(), dtype=np.uint8).reshape(ny, nx)
-    return RasterSet(x_min, x_max, y_min, y_max, (grid == ord("1"))[::-1].T)
+    raise AssertionError("the whole-body check rejected rows that each pass")

@@ -39,6 +39,7 @@ JUMP_FRACTION = 0.125  # the probed jump, as a fraction of the datum's range
 FLAT_SLOPE = 1e-9  # slope maxima below this count as a flat profile
 MAX_PRINCIPLE_TOL = 1e-6  # lipschitz_report: how far u may leave the datum's range, times its width
 BALL_TOL_CELLS = 5.0  # tangent_ball_check: a ball may overlap the graph by this many h
+BALL_BLOCK_PAIRS = 2**14  # tangent_ball_check: centre-obstacle pairs per block
 
 
 @dataclass(frozen=True)
@@ -173,22 +174,23 @@ def _graph_obstacles(u: Profile) -> np.ndarray:
 
     The generalized graph includes the vertical segment of a jump; a
     vertex-only cloud would miss balls poking through that wall, so any
-    edge longer than 2h is subdivided down to roughly h resolution.
+    edge longer than 2h is subdivided down to roughly h resolution: an
+    edge j of length L_j gets the k_j - 1 interior points at t = i / k_j,
+    k_j = ceil(L_j / h).
     """
     nodes = u.grid.nodes()
-    pts = [np.column_stack([nodes, u.values])]
     h = u.grid.h
     du = u.edge_differences()
     seg_len = np.hypot(du, h)
-    for j in np.nonzero(seg_len > 2.0 * h)[0]:
-        k = int(np.ceil(seg_len[j] / h))
-        t = np.linspace(0.0, 1.0, k + 1)[1:-1]
-        pts.append(
-            np.column_stack(
-                [nodes[j] + t * h, u.values[j] + t * du[j]]
-            )
-        )
-    return np.vstack(pts)
+    long_edges = np.flatnonzero(seg_len > 2.0 * h)
+    parts = np.ceil(seg_len[long_edges] / h).astype(int)  # k_j
+    inner = parts - 1
+    edge = np.repeat(long_edges, inner)
+    # i = 1 .. k_j - 1 along each edge, and t = i * (1 / k_j) as np.linspace forms it
+    i = np.arange(1, len(edge) + 1) - np.repeat(np.cumsum(inner) - inner, inner)
+    t = i * np.repeat(1.0 / parts, inner)
+    return np.vstack([np.column_stack([nodes, u.values]),
+                      np.column_stack([nodes[edge] + t * h, u.values[edge] + t * du[edge]])])
 
 
 def tangent_ball_check(aniso: Anisotropy, u: Profile, r: float) -> TangentBallReport:
@@ -197,7 +199,9 @@ def tangent_ball_check(aniso: Anisotropy, u: Profile, r: float) -> TangentBallRe
     For each vertex, translated Wulff shapes of radius r are placed
     tangentially above and below along the vertex normal; the fraction
     of vertices whose ball avoids the graph (within 5h) is reported per
-    side.  r must be a finite positive number.
+    side.  r must be a finite positive number.  The centres are measured
+    against the graph BALL_BLOCK_PAIRS centre-obstacle pairs at a time,
+    so the work is O(n^2) in time and O(n) in memory.
     """
     positive_number(r, "tangent ball radius")
     tol = BALL_TOL_CELLS * u.grid.h
@@ -211,15 +215,16 @@ def tangent_ball_check(aniso: Anisotropy, u: Profile, r: float) -> TangentBallRe
     nu[1:-1] = edge_nu[:-1] + edge_nu[1:]
     nu /= np.hypot(nu[:, 0], nu[:, 1])[:, None]
 
-    contact = np.array([aniso.normal_contact_point(n) for n in nu])
+    contact = aniso.normal_contact_point(nu)
     obstacles = _graph_obstacles(u)
+    step = max(1, BALL_BLOCK_PAIRS // len(obstacles))
 
     def fraction(centers: np.ndarray) -> float:
         ok = 0
-        for c in centers:
-            dmin = float(np.min(aniso.eval_many(obstacles - c)))
-            if dmin >= r - tol:
-                ok += 1
+        for start in range(0, len(centers), step):
+            block = centers[start:start + step, None, :]
+            dmin = aniso.eval_many(obstacles - block).min(axis=1)
+            ok += int(np.count_nonzero(dmin >= r - tol))
         return ok / len(centers)
 
     below = fraction(vertices - r * contact)

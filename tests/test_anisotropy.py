@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import loop_reference
 import numpy as np
 import pytest
 
@@ -274,6 +275,59 @@ def test_normal_contact_point_square_face_wrapping_index_zero():
     assert square.normal_contact_point([0.0, 1.0]).tolist() == [0.0, 1.0]
     diagonal = np.array([1.0, 1.0]) / math.sqrt(2.0)
     assert square.normal_contact_point(diagonal).tolist() == [1.0, 1.0]
+
+
+BLOCK_GAUGES = {
+    "euclidean": Anisotropy.euclidean(),
+    "ellipse": Anisotropy.ellipse(2.0, 0.5),
+    "lp3": Anisotropy.lp(3.0),
+    "lp1.0001": Anisotropy.lp(1.0001),
+    "lp1": Anisotropy.lp(1.0),
+    "square": Anisotropy.polygon(SQUARE),
+    "hexagon": Anisotropy.polygon([[math.cos(t), math.sin(t)]
+                                   for t in 0.3 + math.pi / 3.0 * np.arange(6)]),
+    "generic": Anisotropy.generic(lambda x, y: (abs(x) ** 3 + abs(y) ** 3) ** (1.0 / 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_GAUGES)
+def test_a_block_of_normals_gives_the_faces_and_points_of_each_normal(name):
+    # random directions, unnormalized, plus the axes and the diagonals, whose
+    # faces on a polygon are whole edges, one of them through parameter 0
+    aniso = BLOCK_GAUGES[name]
+    rng = np.random.default_rng(28)
+    nus = np.vstack([_random_directions(rng, 300) * rng.uniform(0.5, 2.0, (300, 1)),
+                     [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]])
+    masks = aniso.face_mask(nus)
+    points = aniso.normal_contact_point(nus)
+    assert masks.shape == (len(nus), len(aniso._face_polyline[0])) and points.shape == nus.shape
+    for nu, mask, point in zip(nus, masks, points):
+        assert mask.tolist() == loop_reference.face_mask(aniso, nu).tolist()
+        assert aniso.face_mask(nu).tolist() == mask.tolist()
+        assert aniso.normal_contact_point(nu).tolist() == point.tolist()
+        # the per-normal form raised a numpy scalar to the power -1/q, where an
+        # array's power may use another kernel
+        np.testing.assert_allclose(point, loop_reference.normal_contact_point(aniso, nu),
+                                   rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0]],
+                         ids=["zero", "nan", "inf"])
+def test_contact_point_needs_finite_nonzero_normals(bad):
+    # a zero normal once gave an IndexError on a polygon and NaN on a smooth gauge
+    for aniso in (Anisotropy.euclidean(), Anisotropy.polygon(SQUARE)):
+        for nus in (bad, [[1.0, 0.0], bad]):
+            with pytest.raises(AnisotropyError, match="finite nonzero"):
+                aniso.normal_contact_point(nus)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 2), ()])
+def test_normals_of_the_wrong_shape_are_rejected(shape):
+    for method in (Anisotropy.euclidean().face_mask, Anisotropy.polygon(SQUARE).face_mask,
+                   Anisotropy.euclidean().normal_contact_point,
+                   Anisotropy.polygon(SQUARE).normal_contact_point):
+        with pytest.raises(AnisotropyError):
+            method(np.ones(shape))
 
 
 def _unit_normals(m):

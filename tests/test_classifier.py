@@ -1,7 +1,9 @@
 """Cahn-Hoffman calibration classifier tests."""
 
 import math
+import tracemalloc
 
+import loop_reference
 import numpy as np
 import pytest
 
@@ -189,3 +191,118 @@ def test_monotone_label_does_not_depend_on_the_profile_size(name):
     grid = Grid(-1, 1, 8)
     for k in range(-300, 301):
         assert cahn_hoffman(SQUARE, Profile(grid, values * 2.0**k)).monotone == label, k
+
+
+# -- the block intersection against the per-face loop --------------------
+
+GAUGES = {
+    "euclidean": EUCLID,
+    "ellipse": Anisotropy.ellipse(2.0, 0.5),
+    "lp3": Anisotropy.lp(3.0),
+    "lp1": Anisotropy.lp(1.0),
+    "square": SQUARE,
+    "hexagon": Anisotropy.polygon([[math.cos(t), math.sin(t)]
+                                   for t in 0.3 + math.pi / 3.0 * np.arange(6)]),
+}
+
+
+def _assert_same_result(res, expected):
+    assert (res.feasible, res.infeasibility_witness, res.monotone, res.hypothesis_warning) == (
+        expected.feasible, expected.infeasibility_witness, expected.monotone,
+        expected.hypothesis_warning)
+    if expected.witness_arc is None:
+        assert res.witness_arc is None
+        return
+    arc, ref = res.witness_arc, expected.witness_arc
+    assert (arc.s_lo, arc.s_hi, arc.total_length) == (ref.s_lo, ref.s_hi, ref.total_length)
+    assert arc.endpoints.tolist() == ref.endpoints.tolist()
+    assert arc.midpoint.tolist() == ref.midpoint.tolist()
+
+
+def _classifier_profiles(rng):
+    """Feasible and infeasible profiles: staircases up and down, lines with slope
+    noise far below the face tolerance (up to a few hundred distinct normals with
+    one common face), such lines with a late kink, jumps, and random values."""
+    for n in (3, 17, 300, 3000):
+        yield n, _staircase(rng, n)
+        yield n, -_staircase(rng, n)
+    for n in (40, 2500, 5000):
+        line = np.concatenate([[0.0], np.cumsum(0.7 * (2.0 / n) * (1.0 + 1e-9 * rng.random(n)))])
+        yield n, line
+        kinked = line.copy()
+        kinked[-int(rng.integers(1, n // 2)):] += 5.0 * (2.0 / n) * rng.random()
+        yield n, kinked
+    for n in (8, 64):
+        yield n, np.where(np.arange(n + 1) > n // 2, 1.0, 0.0) + 1e-7 * rng.random(n + 1)
+        yield n, rng.uniform(-1.0, 1.0, n + 1)
+        yield n, np.cumsum(rng.integers(0, 3, n + 1)) * (2.0 / n)
+
+
+@pytest.mark.parametrize("name", GAUGES)
+def test_block_intersection_matches_the_per_face_loop(name):
+    aniso = GAUGES[name]
+    verdicts = set()
+    for n, values in _classifier_profiles(np.random.default_rng(28)):
+        u = Profile(Grid(-1, 1, n), values)
+        res = cahn_hoffman(aniso, u)
+        _assert_same_result(res, loop_reference.cahn_hoffman(aniso, u))
+        verdicts.add((res.feasible, res.infeasibility_witness is None))
+    assert {(True, True), (False, False)} <= verdicts
+
+
+def test_block_intersection_without_a_witness():
+    # three faces on a test polyline meet pairwise but not all together: the
+    # points p, q and r of a small downward triangle whose sides are exposed by
+    # the normals of a flat edge and of a fall and a rise of slope cot(0.1)
+    aniso = Anisotropy.euclidean()
+    tol = 2e-7
+    pts = np.array([[-0.75 * tol, 1.0], [0.75 * tol, 1.0], [0.0, 1.0 - 2.0 * tol]])
+    pts.flags.writeable = False
+    seg = np.hypot(*np.diff(np.vstack([pts, pts[:1]]), axis=0).T)
+    aniso.__dict__["_face_polyline"] = (pts, np.concatenate([[0.0], np.cumsum(seg[:-1])]),
+                                        float(seg.sum()),
+                                        tol * float(np.hypot(pts[:, 0], pts[:, 1]).max()))
+    grid = Grid(0, 3, 3)
+    u = Profile(grid, np.array([0.0, 0.0, -1.0, 0.0]) / math.tan(0.1))
+    res = cahn_hoffman(aniso, u)
+    assert not res.feasible and res.infeasibility_witness is None
+    _assert_same_result(res, loop_reference.cahn_hoffman(aniso, u))
+
+
+def test_block_intersection_memory_stays_bounded():
+    # 16,384 edges under the Euclidean gauge, whose faces live on an 8,192-point
+    # polyline, where the whole (normals x polyline) matrix of dots would take up
+    # to 1 GB: a staircase, whose second face empties the intersection, and a
+    # line whose slope noise gives 614 distinct normals with one common face
+    n = 16384
+    rng = np.random.default_rng(3)
+    line = np.cumsum(0.7 * (2.0 / n) * (1.0 + 1e-9 * rng.random(n)))
+    EUCLID.face_mask(np.array([0.0, 1.0]))  # builds the cached polyline
+    for values, feasible in ((_staircase(rng, n), False), (np.concatenate([[0.0], line]), True)):
+        u = Profile(Grid(-1, 1, n), values)
+        tracemalloc.start()
+        try:
+            res = cahn_hoffman(EUCLID, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.feasible == feasible
+        assert peak < 4e6
+
+
+def test_witness_search_reaches_a_later_block():
+    # Euclidean faces are the one or two points of the 8,192-point polyline near
+    # the normal's angle.  Ten distinct normals near the midpoint of points k and
+    # k + 1 (face A), ten near that of k + 1 and k + 2 (face B), then one near that
+    # of k - 1 and k (face C): C meets A but not A and B together, and the first
+    # earlier face disjoint from C is the first B, past the first block
+    step = 2.0 * math.pi / 8192
+    k = 2048 + 100
+    jitter = 1e-9 * np.arange(10)
+    theta = np.concatenate([(k + 0.5) * step + jitter, (k + 1.5) * step + jitter,
+                            [(k - 0.5) * step]])
+    grid = Grid(0, 1, len(theta))
+    u = Profile(grid, np.concatenate([[0.0], np.cumsum(-grid.h / np.tan(theta))]))
+    res = cahn_hoffman(EUCLID, u)
+    assert res.infeasibility_witness == (10, 20)
+    _assert_same_result(res, loop_reference.cahn_hoffman(EUCLID, u))

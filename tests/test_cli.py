@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from anisocurve import (Anisotropy, GSpec, Grid, Profile, RasterSet, SolverDivergenceError, energy,
                         sigma_threshold, write_raster)
+from anisocurve import cli
 from anisocurve.anisotropy import anisotropy_from_json
 from anisocurve.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, _Run, main
 
@@ -70,6 +71,30 @@ def test_wulff_command(tmp_path, euclid_json):
     assert isinstance(man["platform"], str) and man["platform"]
     assert isinstance(man["cpu_count"], int) and man["cpu_count"] >= 1
     assert set(man["wall_time_s"]) == {"geometry", "emit"}
+
+
+def test_successive_calls_share_no_parsed_state(tmp_path, euclid_json):
+    # the parser is built once per process; each call parses its own flags
+    with_svg, without = tmp_path / "with", tmp_path / "without"
+    assert main(["wulff", euclid_json, "--samples", "64", "--svg",
+                 "--out-dir", str(with_svg), "--quiet"]) == EXIT_OK
+    assert main(["wulff", euclid_json, "--out-dir", str(without), "--quiet"]) == EXIT_OK
+    assert (with_svg / "wulff.svg").is_file() and not (without / "wulff.svg").exists()
+    assert _manifest(with_svg)["config"] == {"samples": 64, "svg": True}
+    assert _manifest(without)["config"] == {"samples": 65536, "svg": False}
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_runs_the_command_bound_at_call_time(tmp_path, euclid_json, monkeypatch):
+    # a cached parser must not hold the command functions, so that a wrapper
+    # bound to cmd_<name> after the first call is the one that runs
+    assert main(["wulff", euclid_json, "--samples", "64", "--out-dir", str(tmp_path / "a"),
+                 "--quiet"]) == EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_wulff", lambda args: seen.append(args.samples))
+    assert main(["wulff", euclid_json, "--samples", "32", "--out-dir", str(tmp_path / "b"),
+                 "--quiet"]) == EXIT_OK
+    assert seen == [32] and not (tmp_path / "b").exists()
 
 
 def test_threshold_command(tmp_path, euclid_json):

@@ -3,6 +3,7 @@
 import json
 import re
 
+import loop_reference
 import numpy as np
 import pytest
 
@@ -128,6 +129,65 @@ def test_raster_file_matches_per_row_formatting(tmp_path, shape):
     rows = [" ".join("1" if c else "0" for c in row) for row in cells.T[::-1].tolist()]
     assert path.read_bytes() == "\n".join([header, *rows, ""]).encode()
     np.testing.assert_array_equal(read_raster(path).cells, cells)
+
+
+# separators within a row, and those that str.splitlines also reads as row breaks
+ROW_BLANKS = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+LINE_BLANKS = ["\n", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
+def _raster_text(rng, nx, ny):
+    """A raster file with random separators: mostly well formed, sometimes with a
+    bad token, a missing or extra cell, two cells fused, a separator that is no
+    blank, a blank line or a line break inside a row, and blanks around the body."""
+    def blanks(choices, most):
+        return "".join(rng.choice(choices, size=int(rng.integers(1, most + 1))))
+
+    rows = []
+    for _ in range(ny):
+        cells = [str(c) for c in rng.integers(0, 2, nx)]
+        seps = [blanks(ROW_BLANKS, 3) for _ in cells]
+        flaw, j = rng.random(), int(rng.integers(nx))
+        if flaw < 0.02:
+            cells[j] = str(rng.choice(["2", "x", "01", "10", "11", "0.", "\u0661"]))
+        elif flaw < 0.03:
+            del cells[j]
+        elif flaw < 0.04:
+            cells.insert(j, str(rng.integers(0, 2)))
+            seps.insert(j, " ")
+        elif flaw < 0.05:
+            seps[j] = ""
+        elif flaw < 0.06:
+            seps[j] = str(rng.choice(["x", ",", "\xe9", "\u0661", "\u200b"]))
+        row = "".join(cell + sep for cell, sep in zip(cells, seps))
+        if rng.random() < 0.01:
+            cut = int(rng.integers(len(row) + 1))
+            row = row[:cut] + str(rng.choice(LINE_BLANKS)) + row[cut:]
+        rows.append(blanks(ROW_BLANKS, 2) * (rng.random() < 0.3) + row)
+    breaks = [blanks(LINE_BLANKS, 1) + "\n" * (rng.random() < 0.01) for _ in rows]
+    header = json.dumps({"box": [0, 1, 0, 1], "nx": nx, "ny": ny})
+    return (blanks(ROW_BLANKS + LINE_BLANKS, 2) * (rng.random() < 0.3) + header
+            + "".join(b + row for b, row in zip(breaks, rows)) + blanks(LINE_BLANKS, 3))
+
+
+def test_raster_read_matches_the_per_row_reader(tmp_path):
+    rng = np.random.default_rng(28)
+    path = tmp_path / "set.raster"
+    outcomes = set()
+    for _ in range(250):
+        nx, ny = (int(k) for k in rng.integers(1, 24, 2))
+        path.write_bytes(_raster_text(rng, nx, ny).encode())
+        try:
+            expected = loop_reference.read_raster(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                read_raster(path)
+            assert str(info.value) == str(exc)
+            outcomes.add(str(exc).split(":")[1].split()[0])
+            continue
+        np.testing.assert_array_equal(read_raster(path).cells, expected.cells)
+        outcomes.add("read")
+    assert outcomes == {"read", "row", "expected"}
 
 
 def test_raster_read_rejects_bad_files(tmp_path):

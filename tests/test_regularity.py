@@ -1,7 +1,9 @@
 """Regularity diagnostics: Lipschitz link, refinement study, tangent balls."""
 
 import math
+import tracemalloc
 
+import loop_reference
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from anisocurve import (
     tangent_ball_check,
 )
 from anisocurve import reference as ref
+from anisocurve.regularity import _graph_obstacles
 
 EUCLID = Anisotropy.euclidean()
 
@@ -237,3 +240,55 @@ def test_zero_datum_allows_no_excursion():
     u = np.zeros(9)
     u[3] = -1e-300
     assert not lipschitz_report(Profile(grid, u), np.zeros(9)).max_principle_ok
+
+
+# -- the block tangent-ball check against the per-centre loop ----------------
+
+BALL_GAUGES = {
+    "euclidean": EUCLID,
+    "ellipse": Anisotropy.ellipse(2.0, 0.5),
+    "lp3": Anisotropy.lp(3.0),
+    "lp1": Anisotropy.lp(1.0),
+    "square": Anisotropy.polygon([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+    "hexagon": Anisotropy.polygon([[math.cos(t), math.sin(t)]
+                                   for t in 0.3 + math.pi / 3.0 * np.arange(6)]),
+}
+
+
+def _ball_profiles(rng):
+    """Smooth graphs, steps whose jump edges are subdivided, and noise, on grids
+    whose obstacle count does and does not divide the block budget."""
+    for n in (1, 7, 64, 200):
+        grid = Grid(-1, 1, n)
+        s = grid.nodes()
+        yield Profile(grid, 0.05 * np.tanh(5.0 * s))
+        yield Profile(grid, np.where(s > 0.1, 0.8, 0.0) + 0.01 * rng.standard_normal(n + 1))
+        yield Profile(grid, 0.3 * rng.standard_normal(n + 1))
+
+
+@pytest.mark.parametrize("name", BALL_GAUGES)
+def test_block_tangent_balls_match_the_per_centre_loop(name):
+    aniso = BALL_GAUGES[name]
+    fractions = set()
+    for u in _ball_profiles(np.random.default_rng(28)):
+        assert _graph_obstacles(u).tolist() == loop_reference.graph_obstacles(u).tolist()
+        for r in (0.1, 0.5):
+            rep = tangent_ball_check(aniso, u, r)
+            assert rep == loop_reference.tangent_ball_check(aniso, u, r)
+            fractions.update((rep.fraction_verified_above, rep.fraction_verified_below))
+    assert 1.0 in fractions and len(fractions) > 2
+
+
+def test_block_tangent_balls_memory_stays_bounded():
+    # n = 4096: the whole (centres x obstacles) matrix of gauge values would take
+    # 134 MB per side
+    grid = Grid(-1, 1, 4096)
+    u = Profile(grid, 0.05 * np.tanh(5.0 * grid.nodes()))
+    tracemalloc.start()
+    try:
+        rep = tangent_ball_check(EUCLID, u, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.fraction_verified_above == rep.fraction_verified_below == 1.0
+    assert peak < 4e6
