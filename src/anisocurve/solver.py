@@ -15,11 +15,13 @@ term per node.  :func:`solve` picks the method from the input:
   With a piecewise-linear edge term and a fidelity that is linear or
   quadratic in each unknown, each message of the forward pass is a
   convex piecewise-linear or piecewise-quadratic function, kept
-  exactly, and a backward pass reads the minimizer off them.  A
-  quadratic message on an envelope of at most ``_LOCAL_LEVELS`` levels
-  is edited in place, band by band, so a node costs the same however
-  long the message grows; the staircase of p = 1 and denser envelopes are
-  rebuilt with whole-array operations at every node.  At p = 1
+  exactly, and a backward pass reads the minimizer off them.  On an
+  envelope of at most ``_LOCAL_LEVELS`` levels a message is edited in
+  place, band by band, so a node costs about the same however long the
+  message grows: a quadratic message keeps its points in a deque per
+  band, the staircase of p = 1 its jumps in a heap-ordered set per band.
+  Denser envelopes are rebuilt with whole-array operations at every
+  node.  At p = 1
   and p = 2 one sweep solves the problem: no iterations, tolerance or
   smoothing, and the report says ``iterations = 1``,
   ``converged = True`` and ``final_stagnation = 0.0``.  At any other p
@@ -69,6 +71,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -112,9 +115,10 @@ _ROUNDING = 1e-14
 # back on it
 _SNAP = 1e3 * _EPS_FLOOR
 _THOMAS_MAX = 128  # cyclic reduction hands systems this small to a Thomas sweep
-# a quadratic chain sweep edits its slope bands locally on envelopes of at
-# most this many levels, where that is faster than the whole-array sweep: more
-# levels make narrower bands, between which a node moves more points
+# a chain sweep, quadratic or staircase, edits its slope bands locally on
+# envelopes of at most this many levels, where that is faster than the
+# whole-array sweep: more levels make narrower bands, between which a node
+# moves more points
 _LOCAL_LEVELS = 5
 # the local sweep writes a band's points out in full once the fidelity updates
 # it keeps for them would add more than this many times the band's largest
@@ -414,30 +418,46 @@ def _chain_sweep(
 
         u_j = max(X_1, max_i min(u_{j+1} - tau_i, X_{i+1})).
 
-    Two forward passes build the same messages.  A quadratic sweep over an
-    envelope of at most ``_LOCAL_LEVELS`` levels edits each band in place
-    (:func:`_local_messages`), so a node costs a fixed amount of work per
-    band plus the points that cross a level, however long the polyline.
-    The staircase (q = 1) and denser envelopes, where a node moves many
-    points between many narrow bands, take :func:`_array_messages`, a
-    fixed number of whole-array operations on the polyline per node.
-    Once a centre, a weight or an end of the derivative is not finite,
-    every u_j is NaN.
+    Each X_i is the first crossing, so where the minimizer is not unique
+    (q = 1) the sweep returns the least one, unless rounding breaks a tie:
+    a flat of M_j' that lies on a level in exact arithmetic may round to
+    either side of it.
+
+    On an envelope of at most ``_LOCAL_LEVELS`` levels a forward pass edits
+    each band in place, so a node costs a fixed amount of work per band plus
+    what crosses a level, however long the message: a quadratic sweep keeps
+    the points of each band in a deque (:func:`_local_messages`), a
+    staircase the jumps of each band in a heap-ordered set
+    (:func:`_staircase_messages`), since its fidelity step inserts a jump
+    inside a band.  Denser envelopes, where a node moves many points
+    between many narrow bands, take :func:`_array_messages`, a fixed number
+    of whole-array operations on the polyline per node.  All three build
+    the same messages, up to rounding.  Once a centre, a weight or an end
+    of the derivative is not finite, every u_j is NaN.
     """
     if not (np.isfinite(centres).all() and np.isfinite(weights).all()):
         messages = None
-    elif quadratic and len(levels) <= _LOCAL_LEVELS:
+    elif len(levels) > _LOCAL_LEVELS:
+        messages = _array_messages(levels, kinks, centres, weights, quadratic)
+    elif quadratic:
         messages = _local_messages(levels, kinks, centres, weights)
     else:
-        messages = _array_messages(levels, kinks, centres, weights, quadratic)
+        messages = _staircase_messages(levels, kinks, centres, weights)
     if messages is None:  # the data or a message left the floats
         return np.full(len(centres), math.nan)
-    crossings, root = messages
-    u = [root]
+    crossings, y = messages
+    u = [y]
     kink_list = kinks.tolist()
     for row in reversed(crossings):
-        y = u[-1]
-        u.append(max([row[0], *(min(y - kink, x) for kink, x in zip(kink_list, row[1:]))]))
+        v = row[0]
+        for kink, x in zip(kink_list, row[1:]):
+            t = y - kink
+            if x < t:
+                t = x
+            if t > v:
+                v = t
+        u.append(v)
+        y = v
     return np.array(u[::-1])
 
 
@@ -514,11 +534,12 @@ def _local_messages(levels, kinks, centres, weights):
     A_b y + B_b exceeds ``_LOCAL_SLACK`` times its largest |level| at
     either end is written out in full again around its middle point.
 
-    At each node the ends that crossed a level move to the neighbouring
-    band, those outside [sigma_1, sigma_m] are clipped, the crossings are
-    read off the band ends, and every band takes its two flats: a node
-    costs a fixed amount of work per band, plus the points that cross a
-    level.  Returns what :func:`_array_messages` returns.
+    At each node the run of end points that crossed a level moves to the
+    neighbouring band in one step, the runs outside [sigma_1, sigma_m] are
+    clipped, the crossings are read off the band ends, and every band takes
+    its two flats and then the fidelity: a node costs a fixed amount of work
+    per band, plus the points that cross a level.  Returns what
+    :func:`_array_messages` returns.
     """
     sig, tau = levels.tolist(), kinks.tolist()
     top = len(tau)  # the number of bands, and the index of the last level
@@ -529,60 +550,84 @@ def _local_messages(levels, kinks, centres, weights):
     reach = [_LOCAL_SLACK * max(-lo, hi) for lo, hi in zip(sig, sig[1:])]
     isfinite = math.isfinite
 
-    def point(b, stored):  # the point that band b stores as stored
-        y, l = stored
-        return y + shift[b], l + (grow[b] * y + base[b])
+    def take_front(b, level):  # remove and return the run of end points below level
+        band, run = bands[b], []
+        s, a, c = shift[b], grow[b], base[b]
+        end = first[b]
+        while end and end[1] < level:
+            run.append(end)
+            band.popleft()
+            if not band:
+                first[b] = last[b] = None
+                return run
+            y, l = band[0]
+            end = y + s, l + (a * y + c)
+        first[b] = end
+        return run
 
-    def push(b, end, at_front):  # add the point end = (x, M'(x)) to an end of band b
+    def take_back(b, level):  # the same at the back, for the points at or above level
+        band, run = bands[b], []
+        s, a, c = shift[b], grow[b], base[b]
+        end = last[b]
+        while end and end[1] >= level:
+            run.append(end)
+            band.pop()
+            if not band:
+                first[b] = last[b] = None
+                return run
+            y, l = band[-1]
+            end = y + s, l + (a * y + c)
+        last[b] = end
+        return run
+
+    def give(b, run, at_front):  # add the points of run to an end of band b, in turn
+        # an empty band restarts with its origin at the first of them
         band = bands[b]
-        if not band:  # an empty band restarts with its origin at the point
-            shift[b], grow[b], base[b] = end[0], 0.0, 0.0
-            first[b] = last[b] = end
-        (first if at_front else last)[b] = end
-        y = end[0] - shift[b]
-        stored = y, end[1] - (grow[b] * y + base[b])
-        band.appendleft(stored) if at_front else band.append(stored)
-
-    def pop(b, at_front):  # remove an end point of band b and return it
-        band, ends = bands[b], first if at_front else last
-        end = ends[b]
-        band.popleft() if at_front else band.pop()
-        if band:
-            ends[b] = point(b, band[0 if at_front else -1])
-        else:
-            first[b] = last[b] = None
-        return end
+        if not band:
+            shift[b], grow[b], base[b] = run[0][0], 0.0, 0.0
+            (last if at_front else first)[b] = run[0]
+        (first if at_front else last)[b] = run[-1]
+        s, a, c, stored = shift[b], grow[b], base[b], []
+        for x, lam in run:
+            y = x - s
+            stored.append((y, lam - (a * y + c)))
+        band.extendleft(stored) if at_front else band.extend(stored)
 
     crossings = []  # per node, the first crossing of every level
-    push(0, (float(centres[0]), 0.0), True)  # M' = 0 before node 0
+    give(0, [(float(centres[0]), 0.0)], True)  # M' = 0 before node 0
     slope = 0.0
     for j, (cj, wj) in enumerate(zip(centres.tolist(), weights.tolist())):
         if j:
-            # the ends that crossed a level move to the band above it, then
-            # to the band below it, one level at a time
+            # the runs of end points that crossed a level move to the band
+            # above it, then to the band below it, one level at a time
             for i in range(1, top):
-                level = sig[i]
-                while last[i - 1] and last[i - 1][1] >= level:
-                    push(i, pop(i - 1, False), True)
+                end = last[i - 1]
+                if end and end[1] >= sig[i]:
+                    give(i, take_back(i - 1, sig[i]), True)
             for i in range(top - 1, 0, -1):
-                level = sig[i]
-                while first[i] and first[i][1] < level:
-                    push(i - 1, pop(i, True), False)
+                end = first[i]
+                if end and end[1] < sig[i]:
+                    give(i - 1, take_front(i, sig[i]), False)
             # clip to [sigma_1, sigma_m], keeping the nearest clipped point of
             # either end for the crossing of the outer level
             below = above = None
-            while first[0] and first[0][1] < sig[0]:
-                below = pop(0, True)
-            while last[-1] and last[-1][1] >= sig[top]:
-                above = pop(top - 1, False)
+            end = first[0]
+            if end and end[1] < sig[0]:
+                below = take_front(0, sig[0])[-1]
+            end = last[-1]
+            if end and end[1] >= sig[top]:
+                above = take_back(top - 1, sig[top])[-1]
             # level i lies between the last point of the bands below it and
             # the first of the bands above; past the ends the curve goes on
             # with the slope of the tails
-            lows, ups = [below], [above]
-            for b in range(top):
-                lows.append(last[b] or lows[-1])
-                ups.append(first[-1 - b] or ups[-1])
-            ups.reverse()
+            if all(first):
+                lows, ups = [below, *last], [*first, above]
+            else:
+                lows, ups = [below], [above]
+                for b in range(top):
+                    lows.append(last[b] or lows[-1])
+                    ups.append(first[-1 - b] or ups[-1])
+                ups.reverse()
             if not (isfinite((below or ups[0])[1]) and isfinite((above or lows[-1])[1])):
                 return None  # an end of the derivative left the floats
             row = []
@@ -591,33 +636,49 @@ def _local_messages(levels, kinks, centres, weights):
                 row.append(lo[0] + (level - lo[1]) * ((up[0] - lo[0]) / (up[1] - lo[1]))
                            if lo and up else near[0] + (level - near[1]) / slope)
             crossings.append(row)
-            for b, band in enumerate(bands):
-                kink = tau[b]
-                shift[b] += kink
+        # each band takes its flats, then the fidelity 2 W_j (x - c_j)
+        slope = 2.0 * wj
+        for b, band in enumerate(bands):
+            s, a, c = shift[b], grow[b], base[b]
+            if j:
+                kink, low, high = tau[b], sig[b], sig[b + 1]
+                s += kink
                 start, end = row[b] + kink, row[b + 1] + kink
                 # the flats are the new ends; where the curve never reaches a
-                # level, the old end moved with the band
+                # level, the old end moved with the band.  An empty band
+                # restarts with its origin at the flat it takes
                 if isfinite(start):
-                    push(b, (start, sig[b]), True)
+                    if not band:
+                        s, a, c = start, 0.0, 0.0
+                        last[b] = start, low
+                    first[b] = start, low
+                    y = start - s
+                    band.appendleft((y, low - (a * y + c)))
                 elif band:
-                    first[b] = point(b, band[0])
+                    y, l = band[0]
+                    first[b] = y + s, l + (a * y + c)
                 if isfinite(end):
-                    push(b, (end, sig[b + 1]), False)
+                    if not band:
+                        s, a, c = end, 0.0, 0.0
+                        first[b] = end, high
+                    last[b] = end, high
+                    y = end - s
+                    band.append((y, high - (a * y + c)))
                 elif band:
-                    last[b] = point(b, band[-1])
-                if band and grow[b] * max(-band[0][0], band[-1][0]) + abs(base[b]) > reach[b]:
-                    # the stored form outgrew the band's levels: write the
-                    # points out in full again, around the middle one
-                    points = [point(b, q) for q in band]
-                    shift[b] = mid = points[len(points) // 2][0]
-                    grow[b] = base[b] = 0.0
-                    band.clear()
-                    band.extend((x - mid, lam) for x, lam in points)
-        slope = 2.0 * wj
-        for b in range(top):
-            grow[b] += slope
-            base[b] += slope * (shift[b] - cj)
-            if first[b]:  # the ends take the update itself
+                    y, l = band[-1]
+                    last[b] = y + s, l + (a * y + c)
+                if band:
+                    near, far = -band[0][0], band[-1][0]  # the largest |y| is at an end
+                    if a * (far if far > near else near) + abs(c) > reach[b]:
+                        # the stored form outgrew the band's levels: write the
+                        # points out in full again, around the middle one
+                        points = [(y + s, l + (a * y + c)) for y, l in band]
+                        s = points[len(points) // 2][0]
+                        a = c = 0.0
+                        band.clear()
+                        band.extend((x - s, lam) for x, lam in points)
+            shift[b], grow[b], base[b] = s, a + slope, c + slope * (s - cj)
+            if band:  # the ends take the update itself
                 x, lam = first[b]
                 first[b] = x, lam + slope * (x - cj)
                 x, lam = last[b]
@@ -625,11 +686,159 @@ def _local_messages(levels, kinks, centres, weights):
     curve = []  # the last message, each band between its ends as kept
     for b, band in enumerate(bands):
         if band:
-            middle = itertools.islice(band, 1, len(band) - 1)
-            curve += [first[b], *(point(b, q) for q in middle), last[b]][-len(band):]
+            s, a, c = shift[b], grow[b], base[b]
+            inner = [(y + s, l + (a * y + c)) for y, l in itertools.islice(band, 1, len(band) - 1)]
+            curve += [first[b], *inner, last[b]][-len(band):]
     x, lam = np.array(curve).T
     root = _level_crossings(x, lam, slope, np.zeros(1), lam.searchsorted([0.0]))
     return crossings, float(root[0])
+
+
+def _staircase_messages(levels, kinks, centres, weights):
+    """The forward pass of a staircase :func:`_chain_sweep` (q = 1), edited locally per node.
+
+    The staircase is kept as its jumps: M'(x) is the left tail plus the
+    sizes of the jumps at or left of x.  Band b holds the jumps, or the
+    parts of jumps, that lie between sigma_b and sigma_{b+1}: a dict from
+    position to size, positions stored relative to a lazy shift s_b, with
+    two heaps of the positions that give the band's first and last jump
+    (entries whose jump has left the band are dropped when they surface).
+    ``value[b]`` is M' between band b - 1 and band b, so value[0] and
+    value[m - 1] are the two tails, and an empty band has equal values at
+    both sides.  A band's jumps keep their sizes until they leave it.
+
+    The fidelity step takes W_j from the values left of c_j and adds it to
+    those right of it, m values per node, and inserts a jump of 2 W_j at
+    c_j into the last band whose first jump lies left of c_j (or the first
+    nonempty band), lengthening a jump already at c_j.  The edge step
+    moves the jumps beyond a level to the neighbouring band, one level at a
+    time, splitting a jump that straddles it; clips the tails to
+    [sigma_1, sigma_m], removing each clipped jump once; reads the crossings
+    off the band ends; and adds each kink to its band's shift.  The flats
+    at the levels are the gaps between bands, so a point on a flat is never
+    stored.  A node costs a fixed amount of work per band plus O(log n) per
+    jump inserted, moved, split or removed.  The values stay within
+    [sigma_1 - W_j, sigma_m + W_j], so they never leave the floats.  Returns
+    what :func:`_array_messages` returns.
+    """
+    sig, tau = levels.tolist(), kinks.tolist()
+    top = len(tau)  # the number of bands, and the index of the last level
+    jumps = [{} for _ in tau]  # band b: y -> the size of the jump at y + shift[b]
+    lows, highs = [[] for _ in tau], [[] for _ in tau]  # heaps of y and of -y
+    shift = [0.0] * top
+    value = [0.0] * (top + 1)  # M' = 0 before node 0
+    inf = math.inf
+
+    def first(b):  # the y of band b's first jump; the band is not empty
+        heap, band = lows[b], jumps[b]
+        while heap[0] not in band:
+            heappop(heap)
+        return heap[0]
+
+    def last(b):  # the y of band b's last jump
+        heap, band = highs[b], jumps[b]
+        while -heap[0] not in band:
+            heappop(heap)
+        return -heap[0]
+
+    def insert(b, x, size):  # add a jump of this size at x to band b
+        band, y = jumps[b], x - shift[b]
+        if y in band:
+            band[y] += size
+        else:
+            band[y] = size
+            heappush(lows[b], y)
+            heappush(highs[b], -y)
+
+    crossings = []  # per node, the first crossing of every level
+    for j, (cj, wj) in enumerate(zip(centres.tolist(), weights.tolist())):
+        if j:
+            # the jumps above a level move to the band above it, then those
+            # below a level to the band below it, one level at a time
+            for i in range(1, top):
+                level, band = sig[i], jumps[i - 1]
+                while value[i] > level and band:
+                    y = last(i - 1)
+                    size, rest = band[y], value[i] - band[y]
+                    if rest >= level:
+                        del band[y]
+                        heappop(highs[i - 1])
+                        insert(i, y + shift[i - 1], size)
+                        value[i] = rest
+                    else:  # split at the level
+                        band[y] = level - rest
+                        insert(i, y + shift[i - 1], value[i] - level)
+                        value[i] = level
+                if not band:
+                    value[i] = value[i - 1]
+            for i in range(top - 1, 0, -1):
+                level, band = sig[i], jumps[i]
+                while value[i] < level and band:
+                    y = first(i)
+                    size, reach = band[y], value[i] + band[y]
+                    if reach <= level:
+                        del band[y]
+                        heappop(lows[i])
+                        insert(i - 1, y + shift[i], size)
+                        value[i] = reach
+                    else:
+                        band[y] = reach - level
+                        insert(i - 1, y + shift[i], level - value[i])
+                        value[i] = level
+                if not band:
+                    value[i] = value[i + 1]
+            # clip to [sigma_1, sigma_m]; the last jump clipped at the bottom
+            # is where M' reaches sigma_1
+            level, band, crossed = sig[0], jumps[0], -inf
+            while value[0] < level and band:
+                y = first(0)
+                crossed, reach = y + shift[0], value[0] + band[y]
+                if reach <= level:
+                    del band[y]
+                    heappop(lows[0])
+                    value[0] = reach
+                else:
+                    band[y] = reach - level
+                    value[0] = level
+            level, band = sig[top], jumps[top - 1]
+            while value[top] > level and band:
+                y = last(top - 1)
+                rest = value[top] - band[y]
+                if rest >= level:
+                    del band[y]
+                    heappop(highs[top - 1])
+                    value[top] = rest
+                else:
+                    band[y] = level - rest
+                    value[top] = level
+            # M' reaches sigma_i at the last jump below it: never if it ends
+            # below sigma_i, and from the left tail on if no jump lies below
+            row = [crossed]
+            for i in range(1, top + 1):
+                if value[i] < sig[i]:
+                    row.append(inf)
+                else:
+                    row.append(last(i - 1) + shift[i - 1] if jumps[i - 1] else -inf)
+            crossings.append(row)
+            for b in range(top):
+                shift[b] += tau[b]
+        # the jump goes to the last band whose first jump lies left of c_j,
+        # else to the first band that has jumps
+        for k in range(top - 1, -1, -1):
+            if jumps[k] and first(k) + shift[k] < cj:
+                break
+        else:
+            k = next((b for b in range(top) if jumps[b]), 0)
+        for b in range(top + 1):
+            value[b] += wj if b > k else -wj
+        insert(k, cj, 2.0 * wj)
+    b = next(b for b in range(top) if value[b + 1] >= 0.0)
+    band, level = jumps[b], value[b]
+    for y in sorted(band):  # the jump at which M' reaches 0
+        level += band[y]
+        if level >= 0.0:
+            break
+    return crossings, y + shift[b]
 
 
 def _level_crossings(

@@ -1,6 +1,7 @@
 """Newton solver, exact chain sweep and brute-force oracle tests; the PDHG reference and its prox."""
 
 import dataclasses
+import heapq
 import math
 
 import numpy as np
@@ -643,7 +644,7 @@ def test_chain_maximum_principle_under_the_hexagon():
     assert inside >= len(cases) // 2
 
 
-# -- local and whole-array quadratic sweeps -----------------------------
+# -- local and whole-array sweeps ----------------------------------------
 
 # a regular octagon: its edge term has 5 slope levels
 OCTAGON = Anisotropy.polygon([[np.cos(t), np.sin(t)] for t in np.pi / 4 * np.arange(8)])
@@ -656,14 +657,14 @@ def _sweep_input(aniso, grid):
     return -s[::-1], -(grid.h * handover)[::-1]
 
 
-def _quadratic_sweeps(monkeypatch, aniso, grid, centres, weights):
-    """The profile of the local quadratic sweep, then that of the whole-array one."""
+def _local_and_whole_sweeps(monkeypatch, aniso, grid, centres, weights, quadratic):
+    """The profile of the local sweep, then that of the whole-array one."""
     levels, kinks = _sweep_input(aniso, grid)
     assert len(levels) <= solver._LOCAL_LEVELS
-    local = solver._chain_sweep(levels, kinks, centres, weights, True)
+    local = solver._chain_sweep(levels, kinks, centres, weights, quadratic)
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_LOCAL_LEVELS", 0)
-        whole = solver._chain_sweep(levels, kinks, centres, weights, True)
+        whole = solver._chain_sweep(levels, kinks, centres, weights, quadratic)
     return local, whole
 
 
@@ -678,7 +679,27 @@ def test_local_quadratic_sweep_matches_the_whole_array_sweep(monkeypatch, gauge)
         fuzz = _fuzz(rng, n) if n >= 5 else rng.uniform(-1, 1, n + 1)
         for g in (GSpec.step(0.3).sample(grid), fuzz, noisy):
             weights = trapezoid_weights(grid) * 10.0 ** rng.uniform(-1.5, 1.5, n + 1)
-            local, whole = _quadratic_sweeps(monkeypatch, SPARSE[gauge], grid, g, weights)
+            local, whole = _local_and_whole_sweeps(monkeypatch, SPARSE[gauge], grid, g, weights,
+                                                   True)
+            scale = np.ptp(g) + grid.length
+            np.testing.assert_allclose(local, whole, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("gauge", SPARSE)
+def test_local_staircase_sweep_matches_the_whole_array_sweep(monkeypatch, gauge):
+    # Weights spread over three decades keep minimizers from tying.  Under
+    # equal weights two minimizers can tie to the last bit, and the two
+    # sweeps, which round the staircase's values differently, may then return
+    # different ones.
+    rng = np.random.default_rng([41, list(SPARSE).index(gauge)])
+    for n in (1, 2, 8, 64, 512, 4096):
+        grid = Grid(-1, 1, n)
+        noisy = np.sin(3 * grid.nodes()) + 0.3 * rng.standard_normal(n + 1)
+        fuzz = _fuzz(rng, n) if n >= 5 else rng.uniform(-1, 1, n + 1)
+        for g in (GSpec.step(0.3).sample(grid), fuzz, noisy):
+            weights = trapezoid_weights(grid) * 10.0 ** rng.uniform(-1.5, 1.5, n + 1)
+            local, whole = _local_and_whole_sweeps(monkeypatch, SPARSE[gauge], grid, g, weights,
+                                                   False)
             scale = np.ptp(g) + grid.length
             np.testing.assert_allclose(local, whole, rtol=0.0, atol=1e-12 * scale)
 
@@ -701,9 +722,64 @@ def test_quadratic_sweeps_are_bitwise_scale_equivariant(monkeypatch, k):
                 assert scaled.tobytes() == np.ldexp(u, k).tobytes()
 
 
-def test_only_quadratic_sweeps_on_sparse_envelopes_edit_locally(monkeypatch):
+@pytest.mark.parametrize("k", [-600, 600])
+def test_staircase_sweeps_are_bitwise_scale_equivariant(monkeypatch, k):
+    # centres and kinks times 2^k, weights unchanged: the staircase's values
+    # are sums of weights and do not change, and every position is exactly
+    # 2^k times, so the profile is too
+    rng = np.random.default_rng(43)
+    for aniso in SPARSE.values():
+        grid = Grid(-1, 1, 64)
+        weights = trapezoid_weights(grid) * 10.0 ** rng.uniform(-1.5, 1.5, 65)
+        for g in (_fuzz(rng, 64), np.sin(3 * grid.nodes()) + 0.3 * rng.standard_normal(65)):
+            levels, kinks = _sweep_input(aniso, grid)
+            for limit in (solver._LOCAL_LEVELS, 0):
+                monkeypatch.setattr(solver, "_LOCAL_LEVELS", limit)
+                u = solver._chain_sweep(levels, kinks, g, weights, False)
+                scaled = solver._chain_sweep(levels, np.ldexp(kinks, k), np.ldexp(g, k), weights,
+                                             False)
+                assert scaled.tobytes() == np.ldexp(u, k).tobytes()
+
+
+def test_a_centre_on_a_jump_lengthens_it(monkeypatch):
+    # The square's kink is 0, so its jumps stay at the centres that made
+    # them: each of the step's three values (-0.3, 0 at the middle node and
+    # 0.3) makes one jump, which the later nodes with that centre lengthen,
+    # so the staircase pushes one entry per value on each of its two heaps.
+    pushed = []
+    monkeypatch.setattr(solver, "heappush",
+                        lambda heap, y: pushed.append(y) or heapq.heappush(heap, y))
+    rng = np.random.default_rng(47)
+    grid = Grid(-1, 1, 64)
+    g = GSpec.step(0.3).sample(grid)
+    weights = trapezoid_weights(grid) * 10.0 ** rng.uniform(-1.5, 1.5, 65)
+    local, whole = _local_and_whole_sweeps(monkeypatch, SQUARE, grid, g, weights, False)
+    assert len(pushed) == 6
+    np.testing.assert_allclose(local, whole, rtol=0.0, atol=1e-12 * (0.6 + grid.length))
+    # lp(1) moves its bands by -h and +h, so a centre lands on a jump of the
+    # band above 0 when the datum rises by h per node
+    g = GSpec.step(0.3).sample(grid) + grid.h * np.arange(65)
+    local, whole = _local_and_whole_sweeps(monkeypatch, GAUGES["lp1"], grid, g, weights, False)
+    np.testing.assert_allclose(local, whole, rtol=0.0, atol=1e-12 * (np.ptp(g) + grid.length))
+
+
+def test_a_staircase_with_a_non_finite_input_is_nan():
+    grid = Grid(-1, 1, 16)
+    weights = trapezoid_weights(grid)
+    for aniso in SPARSE.values():
+        levels, kinks = _sweep_input(aniso, grid)
+        for bad in (np.nan, np.inf, -np.inf):
+            g = np.zeros(17)
+            g[5] = bad
+            assert np.isnan(solver._chain_sweep(levels, kinks, g, weights, False)).all()
+            w = weights.copy()
+            w[5] = bad
+            assert np.isnan(solver._chain_sweep(levels, kinks, np.zeros(17), w, False)).all()
+
+
+def test_sparse_envelopes_sweep_locally_at_both_exponents(monkeypatch):
     calls = []
-    for name in ("_local_messages", "_array_messages"):
+    for name in ("_local_messages", "_staircase_messages", "_array_messages"):
         forward = getattr(solver, name)
         monkeypatch.setattr(solver, name, lambda *args, name=name, forward=forward:
                             calls.append(name) or forward(*args))
@@ -711,13 +787,53 @@ def test_only_quadratic_sweeps_on_sparse_envelopes_edit_locally(monkeypatch):
     g = GSpec.step(0.3).sample(grid)
     generic = Anisotropy.generic(math.hypot)  # 2049 slope levels
     for aniso, p, forward in ((SQUARE, 2.0, "_local_messages"), (OCTAGON, 2.0, "_local_messages"),
-                              (SQUARE, 1.0, "_array_messages"), (generic, 2.0, "_array_messages")):
+                              (SQUARE, 1.0, "_staircase_messages"),
+                              (OCTAGON, 1.0, "_staircase_messages"),
+                              (generic, 1.0, "_array_messages"),
+                              (generic, 2.0, "_array_messages")):
         calls.clear()
         assert solve(aniso, grid, g, p).method == "chain"
         assert calls == [forward]
     calls.clear()
     solve(GAUGES["lp1"], grid, g, 1.5)  # each proximal Newton step is a quadratic sweep
     assert len(calls) > 1 and set(calls) == {"_local_messages"}
+
+
+# -- comparison principle ---------------------------------------------------
+
+COMPARISON_GAUGES = {
+    "euclidean": EUCLID,
+    "ellipse": GAUGES["ellipse"],
+    "lp3": GAUGES["lp3"],
+    "square": SQUARE,
+    "lp1": GAUGES["lp1"],
+    "hexagon": Anisotropy.polygon(
+        [[np.cos(t), np.sin(t)] for t in 0.3 + np.pi / 3 * np.arange(6)]),
+}
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("gauge", COMPARISON_GAUGES)
+def test_a_higher_datum_gives_a_higher_profile(gauge, p):
+    # g1 <= g2 gives u1 <= u2 for the minimizers each method returns.  Above
+    # p = 1 the minimizer is unique.  At p = 1 there can be many, and each
+    # method returns one by a rule that keeps the order: the chain's
+    # backward pass takes the first crossing of every level, so it returns
+    # the least minimizer (unless rounding breaks an exact tie, which these
+    # data do not meet), and Newton returns the limit of the unique
+    # minimizers of its smoothed energies.
+    aniso = COMPARISON_GAUGES[gauge]
+    rng = np.random.default_rng([53, list(COMPARISON_GAUGES).index(gauge), int(2 * p)])
+    for case in range(10):
+        n = (8, 200, *rng.integers(9, 200, 8))[case]
+        grid = Grid(-1, 1, n)
+        g1 = (GSpec.step(0.3).sample(grid), _fuzz(rng, n),
+              np.sin(3 * grid.nodes()) + 0.3 * rng.standard_normal(n + 1))[case % 3]
+        # raise a random half of the nodes, so that many stay equal
+        g2 = g1 + rng.uniform(0.0, 0.5, n + 1) * (rng.random(n + 1) < 0.5)
+        u1, u2 = (solve(aniso, grid, g, p).profile.values for g in (g1, g2))
+        scale = max(np.ptp(g1), np.ptp(g2)) + grid.length
+        assert np.max(u1 - u2) <= 1e-9 * scale
 
 
 # -- value-only line search and polish ----------------------------------
